@@ -84,16 +84,6 @@ func (p *Phys) Reserve(name string, size uint64) (Region, error) {
 	return r, nil
 }
 
-// MustReserve is Reserve but panics on error; used at simulation setup
-// where a failure is a configuration bug.
-func (p *Phys) MustReserve(name string, size uint64) Region {
-	r, err := p.Reserve(name, size)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Regions returns all reservations, ordered by base address.
 func (p *Phys) Regions() []Region {
 	out := make([]Region, 0, len(p.regions))

@@ -1,10 +1,12 @@
 package mem
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/addr"
+	"repro/internal/simerr"
 )
 
 func TestDefaultsTo8MB(t *testing.T) {
@@ -55,9 +57,19 @@ func TestReserveLayout(t *testing.T) {
 	}
 }
 
+// reserve is Reserve for reservations a test sizes to fit.
+func reserve(t *testing.T, p *Phys, name string, size uint64) Region {
+	t.Helper()
+	r, err := p.Reserve(name, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestReserveDuplicateFails(t *testing.T) {
 	p := New(0)
-	p.MustReserve("x", 4096)
+	reserve(t, p, "x", 4096)
 	if _, err := p.Reserve("x", 4096); err == nil {
 		t.Fatal("duplicate reservation succeeded")
 	}
@@ -65,8 +77,8 @@ func TestReserveDuplicateFails(t *testing.T) {
 
 func TestReserveTooLargeFails(t *testing.T) {
 	p := New(1 << 20)
-	if _, err := p.Reserve("big", 2<<20); err == nil {
-		t.Fatal("oversized reservation succeeded")
+	if _, err := p.Reserve("big", 2<<20); !errors.Is(err, simerr.ErrMemExhausted) {
+		t.Fatalf("oversized reservation: err=%v, want ErrMemExhausted", err)
 	}
 }
 
@@ -78,19 +90,9 @@ func TestReserveAfterAllocationFails(t *testing.T) {
 	}
 }
 
-func TestMustReservePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustReserve did not panic")
-		}
-	}()
-	p := New(1 << 20)
-	p.MustReserve("big", 2<<20)
-}
-
 func TestFrameForStableAndDistinct(t *testing.T) {
 	p := New(0)
-	p.MustReserve("root", 4096)
+	reserve(t, p, "root", 4096)
 	f1 := p.FrameFor(100)
 	f2 := p.FrameFor(200)
 	if f1 == f2 {
@@ -112,7 +114,7 @@ func TestFrameForStableAndDistinct(t *testing.T) {
 
 func TestFramesAvoidReservations(t *testing.T) {
 	p := New(0)
-	r := p.MustReserve("tables", 1<<20) // 256 pages
+	r := reserve(t, p, "tables", 1<<20) // 256 pages
 	for vpn := uint64(0); vpn < 100; vpn++ {
 		pfn := p.FrameFor(vpn)
 		if pfn < r.Size>>addr.PageShift {
@@ -149,7 +151,7 @@ func TestFrameForProperty(t *testing.T) {
 	// bounds for arbitrary touch orders.
 	f := func(vpns []uint16) bool {
 		p := New(0)
-		p.MustReserve("r", 8192)
+		reserve(t, p, "r", 8192)
 		seen := map[uint64]uint64{}
 		for _, raw := range vpns {
 			vpn := uint64(raw)

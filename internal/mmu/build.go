@@ -17,7 +17,9 @@ import (
 // machine).
 //
 // Build validates the spec first, so the combination cases below can
-// assume a buildable shape; an unbuildable spec never reaches them.
+// assume a buildable shape; an unbuildable spec never reaches them. A
+// page table that does not fit phys returns the reservation's error,
+// which wraps simerr.ErrMemExhausted.
 func Build(spec *machine.Spec, phys *mem.Phys) (Refill, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -39,50 +41,66 @@ func Build(spec *machine.Spec, phys *mem.Phys) (Refill, error) {
 
 	switch spec.PageTable.Kind {
 	case machine.PTTwoTierBottomUp:
+		pt, err := ptable.NewUltrix(phys)
+		if err != nil {
+			return nil, err
+		}
 		if sw {
 			return &Ultrix{
 				meta:       md,
-				pt:         ptable.NewUltrix(phys),
+				pt:         pt,
 				userInstrs: c.UserHandlerInstrs,
 				rootInstrs: c.RootHandlerInstrs,
 			}, nil
 		}
 		return &HWMIPS{
 			meta:         md,
-			pt:           ptable.NewUltrix(phys),
+			pt:           pt,
 			walkCycles:   c.WalkCycles,
 			mappedCycles: c.MappedWalkCycles,
 		}, nil
 	case machine.PTThreeTierBottomUp:
+		pt, admin, err := newMachTables(phys)
+		if err != nil {
+			return nil, err
+		}
 		return &Mach{
 			meta:         md,
-			pt:           ptable.NewMach(phys),
-			admin:        phys.MustReserve("mach-admin", 16<<10),
+			pt:           pt,
+			admin:        admin,
 			userInstrs:   c.UserHandlerInstrs,
 			kernelInstrs: c.KernelHandlerInstrs,
 			rootInstrs:   c.RootHandlerInstrs,
 			adminLoads:   c.RootAdminLoads,
 		}, nil
 	case machine.PTTwoTierTopDown:
+		pt, err := ptable.NewIntel(phys)
+		if err != nil {
+			return nil, err
+		}
 		if spec.Refill.Kind == machine.RefillPFSM {
 			return &PFSM{
 				meta:   md,
 				table:  PFSMHierarchical,
 				cycles: c.WalkCycles,
-				hier:   ptable.NewIntel(phys),
+				hier:   pt,
 			}, nil
 		}
 		return &Intel{
 			meta:       md,
-			pt:         ptable.NewIntel(phys),
+			pt:         pt,
 			walkCycles: c.WalkCycles,
 		}, nil
 	case machine.PTHashedInverted:
+		pt, err := ptable.NewPARISC(phys)
+		if err != nil {
+			return nil, err
+		}
 		switch spec.Refill.Kind {
 		case machine.RefillSoftware:
 			return &PARISC{
 				meta:          md,
-				pt:            ptable.NewPARISC(phys),
+				pt:            pt,
 				handlerInstrs: c.UserHandlerInstrs,
 			}, nil
 		case machine.RefillPFSM:
@@ -90,33 +108,41 @@ func Build(spec *machine.Spec, phys *mem.Phys) (Refill, error) {
 				meta:   md,
 				table:  PFSMHashed,
 				cycles: c.WalkCycles,
-				hashed: ptable.NewPARISC(phys),
+				hashed: pt,
 			}, nil
 		default:
 			return &PowerPC{
 				meta:       md,
-				pt:         ptable.NewPARISC(phys),
+				pt:         pt,
 				walkCycles: c.WalkCycles,
 			}, nil
 		}
 	case machine.PTClustered:
+		pt, err := ptable.NewClustered(phys)
+		if err != nil {
+			return nil, err
+		}
 		return &Clustered{
 			meta:          md,
-			pt:            ptable.NewClustered(phys),
+			pt:            pt,
 			handlerInstrs: c.UserHandlerInstrs,
 		}, nil
 	case machine.PTDisjunctTwoTier:
+		pt, err := ptable.NewNoTLB(phys)
+		if err != nil {
+			return nil, err
+		}
 		if sw {
 			return &NoTLB{
 				meta:       md,
-				pt:         ptable.NewNoTLB(phys),
+				pt:         pt,
 				userInstrs: c.UserHandlerInstrs,
 				rootInstrs: c.RootHandlerInstrs,
 			}, nil
 		}
 		return &SPUR{
 			meta:       md,
-			pt:         ptable.NewNoTLB(phys),
+			pt:         pt,
 			walkCycles: c.WalkCycles,
 			rootCycles: c.RootWalkCycles,
 		}, nil

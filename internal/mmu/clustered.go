@@ -21,12 +21,16 @@ type Clustered struct {
 
 // NewClustered builds the walker over a fresh clustered table in phys
 // with the PA-RISC handler length and an unpartitioned, tagged TLB.
-func NewClustered(phys *mem.Phys) *Clustered {
+func NewClustered(phys *mem.Phys) (*Clustered, error) {
+	pt, err := ptable.NewClustered(phys)
+	if err != nil {
+		return nil, err
+	}
 	return &Clustered{
 		meta:          meta{name: ptable.NameClustered, usesTLB: true, tagged: true},
-		pt:            ptable.NewClustered(phys),
+		pt:            pt,
 		handlerInstrs: PARISCHandlerInstrs,
-	}
+	}, nil
 }
 
 // Table exposes the clustered table for chain statistics.

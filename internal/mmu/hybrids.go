@@ -44,13 +44,17 @@ type HWMIPS struct {
 // figure) when the root level must be consulted. The hardware still
 // wires UPT mappings into protected slots, as the MIPS convention
 // requires.
-func NewHWMIPS(phys *mem.Phys) *HWMIPS {
+func NewHWMIPS(phys *mem.Phys) (*HWMIPS, error) {
+	pt, err := ptable.NewUltrix(phys)
+	if err != nil {
+		return nil, err
+	}
 	return &HWMIPS{
 		meta:         meta{name: NameHWMIPS, usesTLB: true, protected: 16, tagged: true},
-		pt:           ptable.NewUltrix(phys),
+		pt:           pt,
 		walkCycles:   IntelWalkCycles,
 		mappedCycles: 4,
-	}
+	}, nil
 }
 
 // HandleMiss performs the hardware bottom-up walk.
@@ -80,12 +84,16 @@ type PowerPC struct {
 }
 
 // NewPowerPC builds the walker over a fresh hashed table in phys.
-func NewPowerPC(phys *mem.Phys) *PowerPC {
+func NewPowerPC(phys *mem.Phys) (*PowerPC, error) {
+	pt, err := ptable.NewPARISC(phys)
+	if err != nil {
+		return nil, err
+	}
 	return &PowerPC{
 		meta:       meta{name: NamePowerPC, usesTLB: true, tagged: true},
-		pt:         ptable.NewPARISC(phys),
+		pt:         pt,
 		walkCycles: IntelWalkCycles,
-	}
+	}, nil
 }
 
 // Table exposes the hashed table for chain statistics.
@@ -115,13 +123,17 @@ type SPUR struct {
 
 // NewSPUR builds the walker over a fresh disjunct table in phys.
 // ASIDsInTLB is vacuously true (ASID-tagged virtual caches).
-func NewSPUR(phys *mem.Phys) *SPUR {
+func NewSPUR(phys *mem.Phys) (*SPUR, error) {
+	pt, err := ptable.NewNoTLB(phys)
+	if err != nil {
+		return nil, err
+	}
 	return &SPUR{
 		meta:       meta{name: NameSPUR, usesTLB: false, tagged: true},
-		pt:         ptable.NewNoTLB(phys),
+		pt:         pt,
 		walkCycles: IntelWalkCycles,
 		rootCycles: 4,
-	}
+	}, nil
 }
 
 // HandleMiss performs the hardware in-cache translation.
@@ -160,7 +172,7 @@ type PFSM struct {
 // NewPFSM builds a programmable walker for the given table format at the
 // given per-walk microcode cost (cycles <= 0 defaults to the Intel
 // seven).
-func NewPFSM(phys *mem.Phys, table PFSMTable, cycles int) *PFSM {
+func NewPFSM(phys *mem.Phys, table PFSMTable, cycles int) (*PFSM, error) {
 	if cycles <= 0 {
 		cycles = IntelWalkCycles
 	}
@@ -169,13 +181,17 @@ func NewPFSM(phys *mem.Phys, table PFSMTable, cycles int) *PFSM {
 		table:  table,
 		cycles: cycles,
 	}
+	var err error
 	switch table {
 	case PFSMHashed:
-		p.hashed = ptable.NewPARISC(phys)
+		p.hashed, err = ptable.NewPARISC(phys)
 	default:
-		p.hier = ptable.NewIntel(phys)
+		p.hier, err = ptable.NewIntel(phys)
 	}
-	return p
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // HandleMiss runs the microcoded walk for the configured format.

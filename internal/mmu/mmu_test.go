@@ -9,6 +9,14 @@ import (
 	"repro/internal/stats"
 )
 
+// must unwraps a constructor's result; test memories are sized to fit.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // fakeMachine records every walker action for verification.
 type fakeMachine struct {
 	dtlbResident map[uint64]bool
@@ -65,7 +73,7 @@ const testVA = uint64(0x00452120)
 
 func TestUltrixFastPath(t *testing.T) {
 	phys := mem.New(0)
-	u := NewUltrix(phys)
+	u := must(NewUltrix(phys))
 	f := newFake()
 	// Pre-map the UPT page so the nested handler does not run.
 	upteVPN := (addr.UltrixUPTBase + addr.VPN(testVA)*4) >> addr.PageShift
@@ -94,7 +102,7 @@ func TestUltrixFastPath(t *testing.T) {
 }
 
 func TestUltrixNestedRootPath(t *testing.T) {
-	u := NewUltrix(mem.New(0))
+	u := must(NewUltrix(mem.New(0)))
 	f := newFake() // UPT page not resident -> nested miss
 
 	u.HandleMiss(f, 0, testVA, true)
@@ -129,7 +137,7 @@ func TestUltrixNestedRootPath(t *testing.T) {
 }
 
 func TestMachThreeLevelPath(t *testing.T) {
-	mc := NewMach(mem.New(0))
+	mc := must(NewMach(mem.New(0)))
 	f := newFake() // nothing resident: full three-level walk
 
 	mc.HandleMiss(f, 0, testVA, false)
@@ -171,7 +179,7 @@ func TestMachThreeLevelPath(t *testing.T) {
 }
 
 func TestMachFastPath(t *testing.T) {
-	mc := NewMach(mem.New(0))
+	mc := must(NewMach(mem.New(0)))
 	f := newFake()
 	upteVPN := addr.VPN(mc.pt.UPTEAddr(0, testVA))
 	f.dtlbResident[upteVPN] = true
@@ -187,7 +195,7 @@ func TestMachFastPath(t *testing.T) {
 func TestMachMidPath(t *testing.T) {
 	// UPT page missing but kernel-table page resident: user + kernel
 	// handlers only.
-	mc := NewMach(mem.New(0))
+	mc := must(NewMach(mem.New(0)))
 	f := newFake()
 	kpteVPN := addr.VPN(mc.pt.KPTEAddr(mc.pt.UPTEAddr(0, testVA)))
 	f.dtlbResident[kpteVPN] = true
@@ -203,7 +211,7 @@ func TestMachMidPath(t *testing.T) {
 }
 
 func TestIntelWalk(t *testing.T) {
-	i := NewIntel(mem.New(0))
+	i := must(NewIntel(mem.New(0)))
 	f := newFake()
 
 	i.HandleMiss(f, 0, testVA, false)
@@ -231,7 +239,7 @@ func TestIntelWalk(t *testing.T) {
 }
 
 func TestIntelRootReferencedOnEveryMiss(t *testing.T) {
-	i := NewIntel(mem.New(0))
+	i := must(NewIntel(mem.New(0)))
 	f := newFake()
 	i.HandleMiss(f, 0, testVA, false)
 	i.HandleMiss(f, 0, testVA+addr.PageSize, false)
@@ -247,7 +255,7 @@ func TestIntelRootReferencedOnEveryMiss(t *testing.T) {
 }
 
 func TestPARISCWalk(t *testing.T) {
-	p := NewPARISC(mem.New(0))
+	p := must(NewPARISC(mem.New(0)))
 	f := newFake()
 
 	p.HandleMiss(f, 0, testVA, true)
@@ -270,7 +278,7 @@ func TestPARISCWalk(t *testing.T) {
 }
 
 func TestPARISCCollisionCostsExtraLoads(t *testing.T) {
-	p := NewPARISC(mem.New(0))
+	p := must(NewPARISC(mem.New(0)))
 	// Find a colliding pair.
 	va1 := uint64(0x10000)
 	h := p.pt.Hash(0, va1)
@@ -290,7 +298,7 @@ func TestPARISCCollisionCostsExtraLoads(t *testing.T) {
 }
 
 func TestNoTLBFastPath(t *testing.T) {
-	n := NewNoTLB(mem.New(0))
+	n := must(NewNoTLB(mem.New(0)))
 	f := newFake()
 	f.loadLevel = cache.L1Hit // UPTE resident in cache
 
@@ -308,7 +316,7 @@ func TestNoTLBFastPath(t *testing.T) {
 }
 
 func TestNoTLBNestedRootOnUPTEL2Miss(t *testing.T) {
-	n := NewNoTLB(mem.New(0))
+	n := must(NewNoTLB(mem.New(0)))
 	f := newFake()
 	f.loadLevel = cache.Memory // every PTE load misses L2
 
@@ -326,7 +334,7 @@ func TestNoTLBNestedRootOnUPTEL2Miss(t *testing.T) {
 }
 
 func TestHWMIPSPaths(t *testing.T) {
-	h := NewHWMIPS(mem.New(0))
+	h := must(NewHWMIPS(mem.New(0)))
 	f := newFake()
 	h.HandleMiss(f, 0, testVA, false) // root path (UPT not mapped)
 	if f.interrupts != 0 {
@@ -350,7 +358,7 @@ func TestHWMIPSPaths(t *testing.T) {
 }
 
 func TestPowerPCWalk(t *testing.T) {
-	p := NewPowerPC(mem.New(0))
+	p := must(NewPowerPC(mem.New(0)))
 	f := newFake()
 	p.HandleMiss(f, 0, testVA, false)
 	if f.interrupts != 0 {
@@ -368,7 +376,7 @@ func TestPowerPCWalk(t *testing.T) {
 }
 
 func TestSPURPaths(t *testing.T) {
-	s := NewSPUR(mem.New(0))
+	s := must(NewSPUR(mem.New(0)))
 	f := newFake()
 	f.loadLevel = cache.Memory
 	s.HandleMiss(f, 0, testVA, false)
@@ -387,7 +395,7 @@ func TestSPURPaths(t *testing.T) {
 }
 
 func TestPFSMHierarchical(t *testing.T) {
-	p := NewPFSM(mem.New(0), PFSMHierarchical, 0)
+	p := must(NewPFSM(mem.New(0), PFSMHierarchical, 0))
 	f := newFake()
 	p.HandleMiss(f, 0, testVA, false)
 	if len(f.execs) != 1 || f.execs[0].n != 7 {
@@ -399,7 +407,7 @@ func TestPFSMHierarchical(t *testing.T) {
 }
 
 func TestPFSMHashedCustomCycles(t *testing.T) {
-	p := NewPFSM(mem.New(0), PFSMHashed, 12)
+	p := must(NewPFSM(mem.New(0), PFSMHashed, 12))
 	f := newFake()
 	p.HandleMiss(f, 0, testVA, true)
 	if f.execs[0].n != 12 {
@@ -420,15 +428,15 @@ func TestRefillMetadata(t *testing.T) {
 		usesTLB bool
 		prot    int
 	}{
-		{NewUltrix(mem.New(0)), "ultrix", true, 16},
-		{NewMach(mem.New(0)), "mach", true, 16},
-		{NewIntel(mem.New(0)), "intel", true, 0},
-		{NewPARISC(mem.New(0)), "pa-risc", true, 0},
-		{NewNoTLB(mem.New(0)), "notlb", false, 0},
-		{NewHWMIPS(mem.New(0)), "hw-mips", true, 16},
-		{NewPowerPC(mem.New(0)), "powerpc", true, 0},
-		{NewSPUR(mem.New(0)), "spur", false, 0},
-		{NewPFSM(mem.New(0), PFSMHashed, 0), "pfsm", true, 0},
+		{must(NewUltrix(mem.New(0))), "ultrix", true, 16},
+		{must(NewMach(mem.New(0))), "mach", true, 16},
+		{must(NewIntel(mem.New(0))), "intel", true, 0},
+		{must(NewPARISC(mem.New(0))), "pa-risc", true, 0},
+		{must(NewNoTLB(mem.New(0))), "notlb", false, 0},
+		{must(NewHWMIPS(mem.New(0))), "hw-mips", true, 16},
+		{must(NewPowerPC(mem.New(0))), "powerpc", true, 0},
+		{must(NewSPUR(mem.New(0))), "spur", false, 0},
+		{must(NewPFSM(mem.New(0), PFSMHashed, 0)), "pfsm", true, 0},
 	}
 	for _, c := range cases {
 		if c.r.Name() != c.name {

@@ -25,13 +25,17 @@ type Ultrix struct {
 
 // NewUltrix builds the walker over a fresh page table in phys with the
 // paper's handler lengths and the MIPS-style 16-slot protected partition.
-func NewUltrix(phys *mem.Phys) *Ultrix {
+func NewUltrix(phys *mem.Phys) (*Ultrix, error) {
+	pt, err := ptable.NewUltrix(phys)
+	if err != nil {
+		return nil, err
+	}
 	return &Ultrix{
 		meta:       meta{name: ptable.NameUltrix, usesTLB: true, protected: 16, tagged: true},
-		pt:         ptable.NewUltrix(phys),
+		pt:         pt,
 		userInstrs: UserHandlerInstrs,
 		rootInstrs: KernelHandlerInstrs,
-	}
+	}, nil
 }
 
 // HandleMiss implements the walk_page_table pseudocode of paper §3.1.
@@ -72,16 +76,34 @@ type Mach struct {
 
 // NewMach builds the walker over a fresh page table in phys with the
 // paper's handler lengths.
-func NewMach(phys *mem.Phys) *Mach {
+func NewMach(phys *mem.Phys) (*Mach, error) {
+	pt, admin, err := newMachTables(phys)
+	if err != nil {
+		return nil, err
+	}
 	return &Mach{
 		meta:         meta{name: ptable.NameMach, usesTLB: true, protected: 16, tagged: true},
-		pt:           ptable.NewMach(phys),
-		admin:        phys.MustReserve("mach-admin", 16<<10),
+		pt:           pt,
+		admin:        admin,
 		userInstrs:   UserHandlerInstrs,
 		kernelInstrs: KernelHandlerInstrs,
 		rootInstrs:   MachRootHandlerInstrs,
 		adminLoads:   MachRootAdminLoads,
+	}, nil
+}
+
+// newMachTables reserves the Mach page table and the root handler's
+// administrative data in phys.
+func newMachTables(phys *mem.Phys) (*ptable.Mach, mem.Region, error) {
+	pt, err := ptable.NewMach(phys)
+	if err != nil {
+		return nil, mem.Region{}, err
 	}
+	admin, err := phys.Reserve("mach-admin", 16<<10)
+	if err != nil {
+		return nil, mem.Region{}, err
+	}
+	return pt, admin, nil
 }
 
 // HandleMiss implements the three-level bottom-up walk. Kernel-space
@@ -130,12 +152,16 @@ type Intel struct {
 
 // NewIntel builds the walker over a fresh page table in phys with the
 // paper's seven-cycle walk and an untagged (flush-on-switch) TLB.
-func NewIntel(phys *mem.Phys) *Intel {
+func NewIntel(phys *mem.Phys) (*Intel, error) {
+	pt, err := ptable.NewIntel(phys)
+	if err != nil {
+		return nil, err
+	}
 	return &Intel{
 		meta:       meta{name: ptable.NameIntel, usesTLB: true, tagged: false},
-		pt:         ptable.NewIntel(phys),
+		pt:         pt,
 		walkCycles: IntelWalkCycles,
-	}
+	}, nil
 }
 
 // HandleMiss performs the hardware walk with two physical PTE loads.
@@ -159,12 +185,16 @@ type PARISC struct {
 
 // NewPARISC builds the walker over a fresh hashed table in phys with the
 // paper's twenty-instruction handler.
-func NewPARISC(phys *mem.Phys) *PARISC {
+func NewPARISC(phys *mem.Phys) (*PARISC, error) {
+	pt, err := ptable.NewPARISC(phys)
+	if err != nil {
+		return nil, err
+	}
 	return &PARISC{
 		meta:          meta{name: ptable.NamePARISC, usesTLB: true, tagged: true},
-		pt:            ptable.NewPARISC(phys),
+		pt:            pt,
 		handlerInstrs: PARISCHandlerInstrs,
-	}
+	}, nil
 }
 
 // Table exposes the hashed table for chain-length statistics.
@@ -198,13 +228,17 @@ type NoTLB struct {
 // paper's handler lengths. ASIDsInTLB is vacuously true: the virtual
 // caches carry ASIDs in their tags (the softvm assumption), so nothing
 // is flushed on a switch.
-func NewNoTLB(phys *mem.Phys) *NoTLB {
+func NewNoTLB(phys *mem.Phys) (*NoTLB, error) {
+	pt, err := ptable.NewNoTLB(phys)
+	if err != nil {
+		return nil, err
+	}
 	return &NoTLB{
 		meta:       meta{name: ptable.NameNoTLB, usesTLB: false, tagged: true},
-		pt:         ptable.NewNoTLB(phys),
+		pt:         pt,
 		userInstrs: UserHandlerInstrs,
 		rootInstrs: KernelHandlerInstrs,
-	}
+	}, nil
 }
 
 // HandleMiss runs the ten-instruction cache-miss handler; the UPTE load

@@ -20,14 +20,22 @@
 // victim sequence.
 //
 // The OS observes memory at page-fault granularity only: a Touch is a
-// TLB-hierarchy miss, not a load. Recency state (LRU stamps, clock
+// TLB-hierarchy miss, not a load. Recency state (LRU order, clock
 // reference bits) therefore updates per miss, never per reference —
 // a real OS cannot see TLB hits either.
+//
+// Cost: every policy decides in O(1) or O(log n) per event, n being
+// the resident count. Each resident page owns a slot — a dense index
+// below the frame budget, recorded in the Kernel's resident map — and
+// every policy keeps its ordering state in slot-indexed arrays, so a
+// touch costs one map operation and an eviction hands its slot straight
+// to the page being admitted. Once the budget is full a touch allocates
+// nothing, beyond the random policy's tree growing to its bounded size.
 package oskernel
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/simerr"
@@ -49,8 +57,11 @@ func pageOf(key uint64) Page {
 }
 
 // Policy is a pluggable page-replacement policy. The Kernel owns the
-// residency bookkeeping and the frame budget; the policy owns only the
-// ordering state needed to pick victims. Implementations are driven
+// residency bookkeeping, the frame budget, and the slot each resident
+// page occupies; the policy owns only the ordering state needed to pick
+// victims, indexed by slot. Slots are dense: the Kernel admits into slot
+// s == (slots used so far) while the budget fills, and afterwards only
+// into the slot Victim just returned. Implementations are driven
 // single-threaded.
 type Policy interface {
 	// Name returns the registry name.
@@ -59,15 +70,16 @@ type Policy interface {
 	// fault. First-touch allocation is free (the paper's model); demand
 	// paging is not.
 	ChargesFaults() bool
-	// Touched notifies the policy that a resident page was touched
-	// (recency update).
-	Touched(key uint64)
-	// Admitted notifies the policy that a page became resident.
-	Admitted(key uint64)
-	// Victim selects and removes the next page to evict. ok is false
-	// when the policy never evicts (first-touch), which under a full
-	// budget means the memory is exhausted.
-	Victim() (key uint64, ok bool)
+	// Touched notifies the policy that the resident page in slot was
+	// touched (recency update).
+	Touched(slot int32)
+	// Admitted notifies the policy that the page with packed key became
+	// resident in slot.
+	Admitted(slot int32, key uint64)
+	// Victim selects and removes the next page to evict and returns its
+	// slot. ok is false when the policy never evicts (first-touch),
+	// which under a full budget means the memory is exhausted.
+	Victim() (slot int32, ok bool)
 }
 
 // KernelSeedSalt derives the random policy's rng stream from the
@@ -91,25 +103,26 @@ func newPolicy(name string, seed uint64) (Policy, error) {
 	case "round-robin":
 		return &roundRobin{}, nil
 	case "random":
-		return &randomPolicy{
-			rnd:      rng.New(seed ^ KernelSeedSalt),
-			resident: make(map[uint64]struct{}),
-		}, nil
+		return &randomPolicy{rnd: rng.New(seed ^ KernelSeedSalt)}, nil
 	case "lru":
-		return &lru{stamp: make(map[uint64]uint64)}, nil
+		return &lru{head: nilSlot, tail: nilSlot}, nil
 	case "clock":
-		return &clock{slot: make(map[uint64]int)}, nil
+		return &clock{}, nil
 	default:
 		return nil, fmt.Errorf("oskernel: unknown policy %q (have %v)", name, Policies())
 	}
 }
 
-// Kernel is the simulated OS memory manager: a resident-set map, a
-// frame budget, and a replacement policy.
+// nilSlot terminates the LRU list.
+const nilSlot int32 = -1
+
+// Kernel is the simulated OS memory manager: a resident-set map from
+// each page to its slot, a frame budget, and a replacement policy.
 type Kernel struct {
 	pol      Policy
-	frames   int // 0 = unbounded
-	resident map[uint64]struct{}
+	frames   int              // 0 = unbounded
+	resident map[uint64]int32 // packed page key -> slot
+	keys     []uint64         // slot -> packed page key
 	faults   uint64
 	evicts   uint64
 }
@@ -121,6 +134,9 @@ func New(policy string, frames int, seed uint64) (*Kernel, error) {
 	if frames < 0 {
 		return nil, fmt.Errorf("oskernel: negative frame budget %d", frames)
 	}
+	if frames > math.MaxInt32 {
+		return nil, fmt.Errorf("oskernel: frame budget %d exceeds %d", frames, math.MaxInt32)
+	}
 	pol, err := newPolicy(policy, seed)
 	if err != nil {
 		return nil, err
@@ -128,7 +144,7 @@ func New(policy string, frames int, seed uint64) (*Kernel, error) {
 	return &Kernel{
 		pol:      pol,
 		frames:   frames,
-		resident: make(map[uint64]struct{}),
+		resident: make(map[uint64]int32),
 	}, nil
 }
 
@@ -150,27 +166,34 @@ func (k *Kernel) Evictions() uint64 { return k.evicts }
 // an error wrapping simerr.ErrMemExhausted.
 func (k *Kernel) Touch(asid uint8, vpn uint64) (evicted Page, haveEvict, fault bool, err error) {
 	key := Page{ASID: asid, VPN: vpn}.key()
-	if _, ok := k.resident[key]; ok {
-		k.pol.Touched(key)
+	if slot, ok := k.resident[key]; ok {
+		k.pol.Touched(slot)
 		return Page{}, false, false, nil
 	}
 	fault = k.pol.ChargesFaults()
 	if fault {
 		k.faults++
 	}
+	var slot int32
 	if k.frames > 0 && len(k.resident) >= k.frames {
-		vk, ok := k.pol.Victim()
+		vs, ok := k.pol.Victim()
 		if !ok {
 			return Page{}, false, fault, fmt.Errorf(
 				"oskernel: %s policy over %d frames cannot place page asid=%d vpn=%#x: %w",
 				k.pol.Name(), k.frames, asid, vpn, simerr.ErrMemExhausted)
 		}
+		vk := k.keys[vs]
 		delete(k.resident, vk)
 		k.evicts++
 		evicted, haveEvict = pageOf(vk), true
+		slot = vs
+		k.keys[slot] = key
+	} else {
+		slot = int32(len(k.keys))
+		k.keys = append(k.keys, key)
 	}
-	k.resident[key] = struct{}{}
-	k.pol.Admitted(key)
+	k.resident[key] = slot
+	k.pol.Admitted(slot, key)
 	return evicted, haveEvict, fault, nil
 }
 
@@ -182,39 +205,36 @@ type firstTouch struct{}
 
 func (firstTouch) Name() string           { return "first-touch" }
 func (firstTouch) ChargesFaults() bool    { return false }
-func (firstTouch) Touched(uint64)         {}
-func (firstTouch) Admitted(uint64)        {}
-func (firstTouch) Victim() (uint64, bool) { return 0, false }
+func (firstTouch) Touched(int32)          {}
+func (firstTouch) Admitted(int32, uint64) {}
+func (firstTouch) Victim() (int32, bool)  { return 0, false }
 
 // --- round-robin ------------------------------------------------------
 
 // roundRobin evicts frames in admission order — a FIFO rotation over
-// the frame ring.
+// the frame ring. Slots fill in admission order and each admission
+// takes the slot just evicted, so the oldest page is always the one
+// under the hand: O(1) per eviction.
 type roundRobin struct {
-	fifo []uint64
-	head int
+	slots, hand int32
 }
 
 func (*roundRobin) Name() string        { return "round-robin" }
 func (*roundRobin) ChargesFaults() bool { return true }
-func (*roundRobin) Touched(uint64)      {}
+func (*roundRobin) Touched(int32)       {}
 
-func (p *roundRobin) Admitted(key uint64) {
-	// Compact the consumed prefix occasionally so the queue stays
-	// bounded by the resident count, not the fault count.
-	if p.head > 0 && p.head*2 >= len(p.fifo) {
-		p.fifo = append(p.fifo[:0], p.fifo[p.head:]...)
-		p.head = 0
+func (p *roundRobin) Admitted(slot int32, _ uint64) {
+	if slot == p.slots {
+		p.slots++
 	}
-	p.fifo = append(p.fifo, key)
 }
 
-func (p *roundRobin) Victim() (uint64, bool) {
-	if p.head >= len(p.fifo) {
+func (p *roundRobin) Victim() (int32, bool) {
+	if p.slots == 0 {
 		return 0, false
 	}
-	v := p.fifo[p.head]
-	p.head++
+	v := p.hand
+	p.hand = (p.hand + 1) % p.slots
 	return v, true
 }
 
@@ -223,134 +243,129 @@ func (p *roundRobin) Victim() (uint64, bool) {
 // randomPolicy evicts a uniformly random resident page. The victim is
 // defined as the Intn(n)-th smallest resident key — an
 // implementation-independent spec, so the engine and the reference
-// model agree given the same rng stream.
+// model agree given the same rng stream. An order-statistic tree over
+// the resident keys finds and removes that key in O(log n).
 type randomPolicy struct {
-	rnd      *rng.Source
-	resident map[uint64]struct{}
+	rnd  *rng.Source
+	tree rankTree
 }
 
 func (*randomPolicy) Name() string        { return "random" }
 func (*randomPolicy) ChargesFaults() bool { return true }
-func (*randomPolicy) Touched(uint64)      {}
+func (*randomPolicy) Touched(int32)       {}
 
-func (p *randomPolicy) Admitted(key uint64) { p.resident[key] = struct{}{} }
+func (p *randomPolicy) Admitted(slot int32, key uint64) { p.tree.insert(key, slot) }
 
-func (p *randomPolicy) Victim() (uint64, bool) {
-	if len(p.resident) == 0 {
+func (p *randomPolicy) Victim() (int32, bool) {
+	if p.tree.size == 0 {
 		return 0, false
 	}
-	keys := make([]uint64, 0, len(p.resident))
-	for k := range p.resident {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	v := keys[p.rnd.Intn(len(keys))]
-	delete(p.resident, v)
-	return v, true
+	_, slot := p.tree.removeKth(p.rnd.Intn(p.tree.size))
+	return slot, true
 }
 
 // --- lru --------------------------------------------------------------
 
 // lru evicts the page whose last touch is oldest. Touches are
 // TLB-hierarchy misses, so this is miss-LRU, not reference-LRU — the
-// OS cannot observe TLB hits. Stamps are unique (a monotone counter),
-// so there are never ties to break.
+// OS cannot observe TLB hits. The recency order is an intrusive doubly
+// linked list over slots, most recent at head: a touch moves its slot
+// to the head and the victim is the tail, both O(1).
 type lru struct {
-	stamp map[uint64]uint64
-	tick  uint64
+	links      []lruLink // by slot
+	head, tail int32
 }
+
+type lruLink struct{ prev, next int32 }
 
 func (*lru) Name() string        { return "lru" }
 func (*lru) ChargesFaults() bool { return true }
 
-func (p *lru) Touched(key uint64) {
-	p.tick++
-	p.stamp[key] = p.tick
+func (p *lru) Touched(slot int32) {
+	if slot != p.head {
+		p.unlink(slot)
+		p.pushFront(slot)
+	}
 }
 
-func (p *lru) Admitted(key uint64) {
-	p.tick++
-	p.stamp[key] = p.tick
+func (p *lru) Admitted(slot int32, _ uint64) {
+	if int(slot) == len(p.links) {
+		p.links = append(p.links, lruLink{})
+	}
+	p.pushFront(slot)
 }
 
-func (p *lru) Victim() (uint64, bool) {
-	if len(p.stamp) == 0 {
+func (p *lru) Victim() (int32, bool) {
+	v := p.tail
+	if v == nilSlot {
 		return 0, false
 	}
-	var victim uint64
-	oldest := ^uint64(0)
-	for k, s := range p.stamp {
-		if s < oldest {
-			oldest, victim = s, k
-		}
+	p.unlink(v)
+	return v, true
+}
+
+func (p *lru) unlink(s int32) {
+	l := p.links[s]
+	if l.prev == nilSlot {
+		p.head = l.next
+	} else {
+		p.links[l.prev].next = l.next
 	}
-	delete(p.stamp, victim)
-	return victim, true
+	if l.next == nilSlot {
+		p.tail = l.prev
+	} else {
+		p.links[l.next].prev = l.prev
+	}
+}
+
+func (p *lru) pushFront(s int32) {
+	p.links[s] = lruLink{prev: nilSlot, next: p.head}
+	if p.head == nilSlot {
+		p.tail = s
+	} else {
+		p.links[p.head].prev = s
+	}
+	p.head = s
 }
 
 // --- clock ------------------------------------------------------------
 
 // clock is the classic second-chance ring: each resident page has a
 // reference bit set on touch; the hand sweeps, clearing bits, and
-// evicts the first unreferenced page it finds.
+// evicts the first unreferenced page it finds. The ring is the slot
+// array: it grows while the budget fills and is full whenever Victim
+// runs, and the admission after an eviction fills the slot just behind
+// the hand — the one the victim vacated. A sweep clears at most one bit
+// per resident page, so an eviction costs O(1) amortized.
 type clock struct {
-	ring []clockEnt
-	slot map[uint64]int
-	hand int
-}
-
-type clockEnt struct {
-	key   uint64
-	valid bool
-	ref   bool
+	ref  []bool // by slot
+	hand int32
 }
 
 func (*clock) Name() string        { return "clock" }
 func (*clock) ChargesFaults() bool { return true }
 
-func (p *clock) Touched(key uint64) {
-	if i, ok := p.slot[key]; ok {
-		p.ring[i].ref = true
+func (p *clock) Touched(slot int32) { p.ref[slot] = true }
+
+func (p *clock) Admitted(slot int32, _ uint64) {
+	if int(slot) == len(p.ref) {
+		p.ref = append(p.ref, true)
+		return
 	}
+	p.ref[slot] = true
 }
 
-func (p *clock) Admitted(key uint64) {
-	// Reuse the slot Victim just vacated if there is one; grow the ring
-	// otherwise (the budget has not filled yet). The free slot, if any,
-	// is the one behind the hand — Victim advanced past it — so this
-	// scan is O(1) in the steady state.
-	for off := range p.ring {
-		i := (p.hand + len(p.ring) - 1 + off) % len(p.ring)
-		if !p.ring[i].valid {
-			p.ring[i] = clockEnt{key: key, valid: true, ref: true}
-			p.slot[key] = i
-			return
-		}
-	}
-	p.slot[key] = len(p.ring)
-	p.ring = append(p.ring, clockEnt{key: key, valid: true, ref: true})
-}
-
-func (p *clock) Victim() (uint64, bool) {
-	valid := 0
-	for i := range p.ring {
-		if p.ring[i].valid {
-			valid++
-		}
-	}
-	if valid == 0 {
+func (p *clock) Victim() (int32, bool) {
+	n := int32(len(p.ref))
+	if n == 0 {
 		return 0, false
 	}
 	for {
-		e := &p.ring[p.hand]
-		if e.valid && !e.ref {
-			v := e.key
-			delete(p.slot, v)
-			*e = clockEnt{}
-			p.hand = (p.hand + 1) % len(p.ring)
-			return v, true
+		i := p.hand
+		p.hand = (p.hand + 1) % n
+		if !p.ref[i] {
+			return i, true
 		}
-		e.ref = false
-		p.hand = (p.hand + 1) % len(p.ring)
+		p.ref[i] = false
 	}
 }

@@ -2,6 +2,8 @@ package oskernel
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -187,6 +189,114 @@ func TestPoliciesListsDefaults(t *testing.T) {
 	for _, n := range names {
 		if _, err := New(n, 16, 1); err != nil {
 			t.Fatalf("registered policy %q failed to build: %v", n, err)
+		}
+	}
+}
+
+// TestFrameBudgetFitsSlots: slots are int32, so a budget beyond
+// math.MaxInt32 frames is rejected rather than silently truncated.
+func TestFrameBudgetFitsSlots(t *testing.T) {
+	frames := math.MaxInt32
+	if _, err := New("lru", frames, 1); err != nil {
+		t.Fatalf("budget of %d frames rejected: %v", frames, err)
+	}
+	frames++
+	if _, err := New("lru", frames, 1); err == nil {
+		t.Fatalf("budget of %d frames accepted", frames)
+	}
+}
+
+// pageAt maps index j of a working set onto a page, spreading the set
+// over four address spaces.
+func pageAt(j int) Page { return Page{ASID: uint8(j & 3), VPN: uint64(j >> 2)} }
+
+// fill touches every page of a span-page working set once, which fills
+// the budget (and starts evicting when span exceeds it).
+func fill(tb testing.TB, k *Kernel, span int) {
+	for j := 0; j < span; j++ {
+		p := pageAt(j)
+		if _, _, _, err := k.Touch(p.ASID, p.VPN); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestKernelTouchAllocationFree pins the steady state: once the budget
+// is full, neither hits nor evicting faults allocate, under any policy.
+// First-touch never evicts, so its working set stays within the budget.
+// The budget spans many rank-tree nodes, so random's splits and merges
+// must recycle them.
+func TestKernelTouchAllocationFree(t *testing.T) {
+	const frames = 1024
+	for _, pol := range Policies() {
+		k, err := New(pol, frames, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		span := 2 * frames
+		if pol == "first-touch" {
+			span = frames
+		}
+		fill(t, k, span)
+		src := rng.New(1)
+		churn := func() {
+			for i := 0; i < 20*frames; i++ {
+				p := pageAt(src.Intn(span))
+				if _, _, _, err := k.Touch(p.ASID, p.VPN); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// AllocsPerRun's own warm-up call churns the budget once before
+		// the measured call.
+		if allocs := testing.AllocsPerRun(1, churn); allocs != 0 {
+			t.Errorf("%s: %.0f allocations in %d touches over a full budget, want 0", pol, allocs, 20*frames)
+		}
+		if pol != "first-touch" && k.Evictions() == 0 {
+			t.Errorf("%s: stream never evicted", pol)
+		}
+	}
+}
+
+// freshPage returns the i-th page of a stream that never repeats (for
+// i < 2^34): VPNs are scattered by an odd multiplier, a bijection on 32
+// bits, over four address spaces.
+func freshPage(i int) Page {
+	return Page{ASID: uint8(i & 3), VPN: uint64(uint32(i>>2) * 0x9e3779b1)}
+}
+
+// BenchmarkTouch measures the steady-state cost of an evicting Touch
+// under each evicting policy at a small and a large frame budget. The
+// budget is filled first; after that every touch demands a page never
+// seen before, so every touch faults and evicts one victim. Per-touch
+// cost must not grow with the resident set beyond O(log n).
+func BenchmarkTouch(b *testing.B) {
+	for _, pol := range Policies()[1:] {
+		for _, frames := range []int{1 << 10, 1 << 20} {
+			b.Run(fmt.Sprintf("%s/frames=%d", pol, frames), func(b *testing.B) {
+				k, err := New(pol, frames, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				touch := func(i int) {
+					p := freshPage(i)
+					if _, _, _, err := k.Touch(p.ASID, p.VPN); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for i := 0; i < frames; i++ {
+					touch(i)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					touch(frames + i)
+				}
+				b.StopTimer()
+				if k.Evictions() != uint64(b.N) {
+					b.Fatalf("%d evictions over %d touches", k.Evictions(), b.N)
+				}
+			})
 		}
 	}
 }

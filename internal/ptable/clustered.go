@@ -46,18 +46,26 @@ type Clustered struct {
 // NewClustered reserves the table and CRT. Entry count preserves the
 // paper's 2:1 PTE-to-frame ratio: pages*2 PTEs packed ClusterPages per
 // entry.
-func NewClustered(phys *mem.Phys) *Clustered {
+func NewClustered(phys *mem.Phys) (*Clustered, error) {
 	entries := phys.Pages() * 2 / ClusterPages
 	if entries == 0 {
 		entries = 1
 	}
+	hpt, err := phys.Reserve("clustered-hpt", entries*ClusteredEntryBytes)
+	if err != nil {
+		return nil, err
+	}
+	crt, err := phys.Reserve("clustered-crt", entries*ClusteredEntryBytes)
+	if err != nil {
+		return nil, err
+	}
 	return &Clustered{
-		hpt:     phys.MustReserve("clustered-hpt", entries*ClusteredEntryBytes),
-		crt:     phys.MustReserve("clustered-crt", entries*ClusteredEntryBytes),
+		hpt:     hpt,
+		crt:     crt,
 		entries: entries,
 		chains:  make(map[uint64][]uint64),
 		crtSlot: make(map[uint64]uint64),
-	}
+	}, nil
 }
 
 // Name returns "clustered".

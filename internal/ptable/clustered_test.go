@@ -8,7 +8,7 @@ import (
 )
 
 func TestClusteredSizing(t *testing.T) {
-	c := NewClustered(mem.New(0))
+	c := must(NewClustered(mem.New(0)))
 	// 2048 frames × 2:1 ratio / 8 pages per cluster = 512 entries.
 	if c.Entries() != 512 {
 		t.Fatalf("entries = %d, want 512", c.Entries())
@@ -24,7 +24,7 @@ func TestClusteredSizing(t *testing.T) {
 func TestClusteredAdjacentPagesShareEntry(t *testing.T) {
 	// The design's selling point: pages of one cluster resolve within one
 	// 64-byte entry, 4 bytes apart.
-	c := NewClustered(mem.New(0))
+	c := must(NewClustered(mem.New(0)))
 	base := uint64(0) // pages 0..7 form cluster 0
 	a := c.ChainAddrs(0, base)
 	b := c.ChainAddrs(0, base+addr.PageSize)
@@ -41,7 +41,7 @@ func TestClusteredAdjacentPagesShareEntry(t *testing.T) {
 }
 
 func TestClusteredDifferentClustersDifferentEntries(t *testing.T) {
-	c := NewClustered(mem.New(0))
+	c := must(NewClustered(mem.New(0)))
 	a := c.ChainAddrs(0, 0)
 	b := c.ChainAddrs(0, ClusterPages*addr.PageSize) // next cluster
 	if a[len(a)-1]/ClusteredEntryBytes == b[len(b)-1]/ClusteredEntryBytes {
@@ -52,8 +52,8 @@ func TestClusteredDifferentClustersDifferentEntries(t *testing.T) {
 func TestClusteredFewerInstallationsThanPARISC(t *testing.T) {
 	// Touching a contiguous region installs footprint/ClusterPages
 	// clusters vs one PA-RISC entry per page.
-	c := NewClustered(mem.New(0))
-	p := NewPARISC(mem.New(0))
+	c := must(NewClustered(mem.New(0)))
+	p := must(NewPARISC(mem.New(0)))
 	for page := uint64(0); page < 128; page++ {
 		va := page * addr.PageSize
 		c.ChainAddrs(0, va)
@@ -68,7 +68,7 @@ func TestClusteredFewerInstallationsThanPARISC(t *testing.T) {
 }
 
 func TestClusteredChainGrowth(t *testing.T) {
-	c := NewClustered(mem.New(0))
+	c := must(NewClustered(mem.New(0)))
 	// Find two clusters with the same hash.
 	va1 := uint64(0)
 	h := c.Hash(0, va1)
@@ -92,7 +92,7 @@ func TestClusteredChainGrowth(t *testing.T) {
 }
 
 func TestClusteredASIDsSeparate(t *testing.T) {
-	c := NewClustered(mem.New(0))
+	c := must(NewClustered(mem.New(0)))
 	c.ChainAddrs(0, 0)
 	c.ChainAddrs(1, 0)
 	if c.MappedClusters() != 2 {
@@ -102,7 +102,7 @@ func TestClusteredASIDsSeparate(t *testing.T) {
 
 func TestClusteredAddressesWithinTables(t *testing.T) {
 	phys := mem.New(0)
-	c := NewClustered(phys)
+	c := must(NewClustered(phys))
 	hpt, _ := phys.Region("clustered-hpt")
 	crt, _ := phys.Region("clustered-crt")
 	for page := uint64(0); page < 4096; page += 3 {
@@ -118,7 +118,7 @@ func TestClusteredAddressesWithinTables(t *testing.T) {
 }
 
 func TestClusteredEmptyAverage(t *testing.T) {
-	if NewClustered(mem.New(0)).AverageChainLength() != 0 {
+	if must(NewClustered(mem.New(0))).AverageChainLength() != 0 {
 		t.Fatal("empty table's average not 0")
 	}
 }

@@ -65,9 +65,15 @@ type Ultrix struct {
 	root mem.Region // MaxProcesses contiguous 2KB root tables
 }
 
-// NewUltrix reserves the root tables and returns the organization.
-func NewUltrix(phys *mem.Phys) *Ultrix {
-	return &Ultrix{root: phys.MustReserve("ultrix-root", MaxProcesses*(2<<10))}
+// NewUltrix reserves the root tables and returns the organization. A
+// reservation that does not fit phys returns its error, which wraps
+// simerr.ErrMemExhausted.
+func NewUltrix(phys *mem.Phys) (*Ultrix, error) {
+	root, err := phys.Reserve("ultrix-root", MaxProcesses*(2<<10))
+	if err != nil {
+		return nil, err
+	}
+	return &Ultrix{root: root}, nil
 }
 
 // Name returns the organization name.
@@ -106,8 +112,12 @@ type Mach struct {
 }
 
 // NewMach reserves the root table and returns the organization.
-func NewMach(phys *mem.Phys) *Mach {
-	return &Mach{root: phys.MustReserve("mach-root", 4<<10)}
+func NewMach(phys *mem.Phys) (*Mach, error) {
+	root, err := phys.Reserve("mach-root", 4<<10)
+	if err != nil {
+		return nil, err
+	}
+	return &Mach{root: root}, nil
 }
 
 // Name returns the organization name.
@@ -152,12 +162,16 @@ type Intel struct {
 }
 
 // NewIntel reserves the root tables and returns the organization.
-func NewIntel(phys *mem.Phys) *Intel {
+func NewIntel(phys *mem.Phys) (*Intel, error) {
+	root, err := phys.Reserve("intel-root", MaxProcesses*(4<<10))
+	if err != nil {
+		return nil, err
+	}
 	return &Intel{
-		root:     phys.MustReserve("intel-root", MaxProcesses*(4<<10)),
+		root:     root,
 		phys:     phys,
 		ptePages: make(map[uint64]uint64),
-	}
+	}, nil
 }
 
 // Name returns the organization name.
@@ -218,17 +232,25 @@ type PARISC struct {
 
 // NewPARISC reserves the hashed table and CRT. The entry count is
 // 2× the physical frame count, per the paper's 2:1 choice.
-func NewPARISC(phys *mem.Phys) *PARISC {
+func NewPARISC(phys *mem.Phys) (*PARISC, error) {
 	entries := phys.Pages() * 2
+	hpt, err := phys.Reserve("parisc-hpt", entries*InvertedPTEBytes)
+	if err != nil {
+		return nil, err
+	}
+	// CRT sized like the HPT; "no restriction" in the paper, and chains
+	// average 1.25 entries so this never fills.
+	crt, err := phys.Reserve("parisc-crt", entries*InvertedPTEBytes)
+	if err != nil {
+		return nil, err
+	}
 	return &PARISC{
-		hpt: phys.MustReserve("parisc-hpt", entries*InvertedPTEBytes),
-		// CRT sized like the HPT; "no restriction" in the paper, and
-		// chains average 1.25 entries so this never fills.
-		crt:     phys.MustReserve("parisc-crt", entries*InvertedPTEBytes),
+		hpt:     hpt,
+		crt:     crt,
 		entries: entries,
 		chains:  make(map[uint64][]uint64),
 		crtSlot: make(map[uint64]uint64),
-	}
+	}, nil
 }
 
 // Name returns the organization name.
@@ -324,8 +346,12 @@ type NoTLB struct {
 }
 
 // NewNoTLB reserves the root tables and returns the organization.
-func NewNoTLB(phys *mem.Phys) *NoTLB {
-	return &NoTLB{root: phys.MustReserve("notlb-root", MaxProcesses*(2<<10))}
+func NewNoTLB(phys *mem.Phys) (*NoTLB, error) {
+	root, err := phys.Reserve("notlb-root", MaxProcesses*(2<<10))
+	if err != nil {
+		return nil, err
+	}
+	return &NoTLB{root: root}, nil
 }
 
 // Name returns the organization name.

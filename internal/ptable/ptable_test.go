@@ -9,11 +9,19 @@ import (
 	"repro/internal/rng"
 )
 
+// must unwraps a constructor's result; test memories are sized to fit.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // userVA clamps an arbitrary value into user virtual space.
 func userVA(raw uint64) uint64 { return raw % addr.UserTop }
 
 func TestUltrixGeometry(t *testing.T) {
-	u := NewUltrix(mem.New(0))
+	u := must(NewUltrix(mem.New(0)))
 	// The 2GB user space needs 512K PTEs = 2MB of table (Figure 1).
 	lo := u.UPTEAddr(0, 0)
 	hi := u.UPTEAddr(0, addr.UserTop-1)
@@ -40,7 +48,7 @@ func TestUltrixGeometry(t *testing.T) {
 func TestUltrixAdjacentPagesShareUPTEPage(t *testing.T) {
 	// PTEs for virtually adjacent pages are adjacent in the table — the
 	// spatial-locality property the paper's cache analysis relies on.
-	u := NewUltrix(mem.New(0))
+	u := must(NewUltrix(mem.New(0)))
 	a := u.UPTEAddr(0, 0*addr.PageSize)
 	b := u.UPTEAddr(0, 1*addr.PageSize)
 	if b-a != HierPTEBytes {
@@ -50,7 +58,7 @@ func TestUltrixAdjacentPagesShareUPTEPage(t *testing.T) {
 
 func TestUltrixOneRootPTEMapsManyUserPTEs(t *testing.T) {
 	// "a single root-level PTE maps many user-level PTEs" — 1024 of them.
-	u := NewUltrix(mem.New(0))
+	u := must(NewUltrix(mem.New(0)))
 	r0 := u.RPTEAddr(0, 0)
 	same := 0
 	for page := uint64(0); page < 2048; page++ {
@@ -64,7 +72,7 @@ func TestUltrixOneRootPTEMapsManyUserPTEs(t *testing.T) {
 }
 
 func TestMachGeometry(t *testing.T) {
-	m := NewMach(mem.New(0))
+	m := must(NewMach(mem.New(0)))
 	if m.UPTEAddr(0, 0) != addr.MachUPTBase {
 		t.Fatalf("UPT base = %#x", m.UPTEAddr(0, 0))
 	}
@@ -90,7 +98,7 @@ func TestMachGeometry(t *testing.T) {
 func TestMachThreeTierChain(t *testing.T) {
 	// Full bottom-up chain for a user address: UPTE (kernel virtual) ->
 	// KPTE (kernel virtual, inside KPT) -> RPTE (physical).
-	m := NewMach(mem.New(0))
+	m := must(NewMach(mem.New(0)))
 	va := uint64(0x00400000)
 	upte := m.UPTEAddr(0, va)
 	if !addr.IsKernelMapped(upte) {
@@ -107,7 +115,7 @@ func TestMachThreeTierChain(t *testing.T) {
 }
 
 func TestIntelRootIndexing(t *testing.T) {
-	i := NewIntel(mem.New(0))
+	i := must(NewIntel(mem.New(0)))
 	// Addresses in the same 4MB segment share a root entry; different
 	// segments get different entries 4 bytes apart.
 	if i.RPTEAddr(0, 0) != i.RPTEAddr(0, 4<<20-1) {
@@ -122,7 +130,7 @@ func TestIntelRootIndexing(t *testing.T) {
 }
 
 func TestIntelPTEPagesStableAndDisjoint(t *testing.T) {
-	i := NewIntel(mem.New(0))
+	i := must(NewIntel(mem.New(0)))
 	a1 := i.UPTEAddr(0, 0x1000)
 	a2 := i.UPTEAddr(0, 0x1000)
 	if a1 != a2 {
@@ -145,7 +153,7 @@ func TestIntelPTEPagesStableAndDisjoint(t *testing.T) {
 }
 
 func TestIntelPTEPagesAvoidRootTable(t *testing.T) {
-	i := NewIntel(mem.New(0))
+	i := must(NewIntel(mem.New(0)))
 	root := addr.PhysOf(i.RPTEAddr(0, 0))
 	pte := addr.PhysOf(i.UPTEAddr(0, 0))
 	if addr.PageBase(pte) == addr.PageBase(root) {
@@ -154,7 +162,7 @@ func TestIntelPTEPagesAvoidRootTable(t *testing.T) {
 }
 
 func TestPARISCSizing(t *testing.T) {
-	p := NewPARISC(mem.New(0))
+	p := must(NewPARISC(mem.New(0)))
 	// 8MB memory -> 2048 frames -> 2:1 ratio -> 4096 entries (paper).
 	if p.Entries() != 4096 {
 		t.Fatalf("entries = %d, want 4096", p.Entries())
@@ -165,7 +173,7 @@ func TestPARISCSizing(t *testing.T) {
 }
 
 func TestPARISCHashInRange(t *testing.T) {
-	p := NewPARISC(mem.New(0))
+	p := must(NewPARISC(mem.New(0)))
 	f := func(raw uint64) bool {
 		return p.Hash(0, userVA(raw)) < p.Entries()
 	}
@@ -175,7 +183,7 @@ func TestPARISCHashInRange(t *testing.T) {
 }
 
 func TestPARISCChainGrowsOnCollision(t *testing.T) {
-	p := NewPARISC(mem.New(0))
+	p := must(NewPARISC(mem.New(0)))
 	// Find two user VAs with the same hash but different VPNs.
 	va1 := uint64(0x1000)
 	h := p.Hash(0, va1)
@@ -208,7 +216,7 @@ func TestPARISCChainGrowsOnCollision(t *testing.T) {
 }
 
 func TestPARISCChainAddrsStable(t *testing.T) {
-	p := NewPARISC(mem.New(0))
+	p := must(NewPARISC(mem.New(0)))
 	va := uint64(0x5000)
 	a := p.ChainAddrs(0, va)
 	b := p.ChainAddrs(0, va)
@@ -224,7 +232,7 @@ func TestPARISCChainAddrsStable(t *testing.T) {
 
 func TestPARISCAddressesWithinTables(t *testing.T) {
 	phys := mem.New(0)
-	p := NewPARISC(phys)
+	p := must(NewPARISC(phys))
 	hpt, _ := phys.Region("parisc-hpt")
 	crt, _ := phys.Region("parisc-crt")
 	r := rng.New(1)
@@ -246,7 +254,7 @@ func TestPARISCAddressesWithinTables(t *testing.T) {
 func TestPARISCAverageChainLengthNearTheory(t *testing.T) {
 	// With a 2:1 entry ratio the paper expects ~1.25 average chain
 	// length; populate 2048 random pages (a full 8MB memory's worth).
-	p := NewPARISC(mem.New(0))
+	p := must(NewPARISC(mem.New(0)))
 	r := rng.New(2)
 	seen := map[uint64]bool{}
 	for len(seen) < 2048 {
@@ -267,7 +275,7 @@ func TestPARISCAverageChainLengthNearTheory(t *testing.T) {
 }
 
 func TestPARISCEmptyAverage(t *testing.T) {
-	p := NewPARISC(mem.New(0))
+	p := must(NewPARISC(mem.New(0)))
 	if p.AverageChainLength() != 0 {
 		t.Fatal("empty table's average chain length not 0")
 	}
@@ -278,8 +286,8 @@ func TestPARISCDensity(t *testing.T) {
 	// sparse set of pages are densely packed. Touch widely scattered
 	// pages and verify the PTE addresses stay within the 64KB HPT — in a
 	// hierarchical table the same pages would spread over 2MB.
-	p := NewPARISC(mem.New(0))
-	u := NewUltrix(mem.New(0))
+	p := must(NewPARISC(mem.New(0)))
+	u := must(NewUltrix(mem.New(0)))
 	var hptSpanPages, uptSpanPages map[uint64]bool = map[uint64]bool{}, map[uint64]bool{}
 	for i := uint64(0); i < 256; i++ {
 		va := (i * 97 * addr.PageSize * 113) % addr.UserTop // scattered
@@ -293,7 +301,7 @@ func TestPARISCDensity(t *testing.T) {
 }
 
 func TestNoTLBDisjunctButDeterministic(t *testing.T) {
-	n := NewNoTLB(mem.New(0))
+	n := must(NewNoTLB(mem.New(0)))
 	// Same-page addresses give identical UPTEs; adjacent segments give
 	// non-adjacent (disjunct) group pages.
 	if n.UPTEAddr(0, 0x1000) != n.UPTEAddr(0, 0x1FFF) {
@@ -307,7 +315,7 @@ func TestNoTLBDisjunctButDeterministic(t *testing.T) {
 }
 
 func TestNoTLBGroupsNeverCollide(t *testing.T) {
-	n := NewNoTLB(mem.New(0))
+	n := must(NewNoTLB(mem.New(0)))
 	bases := map[uint64]uint64{}
 	for seg := uint64(0); seg < 512; seg++ {
 		b := addr.PageBase(n.UPTEAddr(0, seg<<22))
@@ -324,7 +332,7 @@ func TestNoTLBGroupsNeverCollide(t *testing.T) {
 func TestNoTLBRootMirrorsUltrixCosts(t *testing.T) {
 	// Same root-table shape as Ultrix: 2KB physical, one entry per 4MB
 	// segment ("the cost of walking the tables is identical").
-	n := NewNoTLB(mem.New(0))
+	n := must(NewNoTLB(mem.New(0)))
 	if d := n.RPTEAddr(0, 4<<20) - n.RPTEAddr(0, 0); d != HierPTEBytes {
 		t.Fatalf("root entries %d apart, want %d", d, HierPTEBytes)
 	}
@@ -341,11 +349,11 @@ func TestWithinPagePTESharingProperty(t *testing.T) {
 	// Property: for every organization, two addresses on the same virtual
 	// page resolve to the same leaf PTE address.
 	phys := mem.New(0)
-	u := NewUltrix(phys)
-	i := NewIntel(mem.New(0))
-	n := NewNoTLB(mem.New(0))
-	m := NewMach(mem.New(0))
-	p := NewPARISC(mem.New(0))
+	u := must(NewUltrix(phys))
+	i := must(NewIntel(mem.New(0)))
+	n := must(NewNoTLB(mem.New(0)))
+	m := must(NewMach(mem.New(0)))
+	p := must(NewPARISC(mem.New(0)))
 	f := func(raw uint64, off1, off2 uint16) bool {
 		base := addr.PageBase(userVA(raw))
 		a := base + uint64(off1)%addr.PageSize
@@ -381,9 +389,9 @@ func TestWithinPagePTESharingProperty(t *testing.T) {
 func TestDistinctPagesDistinctPTEsProperty(t *testing.T) {
 	// Property: distinct virtual pages get distinct leaf PTE addresses in
 	// the hierarchical organizations.
-	u := NewUltrix(mem.New(0))
-	i := NewIntel(mem.New(0))
-	n := NewNoTLB(mem.New(0))
+	u := must(NewUltrix(mem.New(0)))
+	i := must(NewIntel(mem.New(0)))
+	n := must(NewNoTLB(mem.New(0)))
 	f := func(r1, r2 uint64) bool {
 		a, b := userVA(r1), userVA(r2)
 		if addr.VPN(a) == addr.VPN(b) {
@@ -400,19 +408,19 @@ func TestDistinctPagesDistinctPTEsProperty(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	phys := mem.New(64 << 20)
-	if NewUltrix(phys).Name() != "ultrix" {
+	if must(NewUltrix(phys)).Name() != "ultrix" {
 		t.Fatal("ultrix name")
 	}
-	if NewMach(phys).Name() != "mach" {
+	if must(NewMach(phys)).Name() != "mach" {
 		t.Fatal("mach name")
 	}
-	if NewIntel(phys).Name() != "intel" {
+	if must(NewIntel(phys)).Name() != "intel" {
 		t.Fatal("intel name")
 	}
-	if NewPARISC(phys).Name() != "pa-risc" {
+	if must(NewPARISC(phys)).Name() != "pa-risc" {
 		t.Fatal("pa-risc name")
 	}
-	if NewNoTLB(phys).Name() != "notlb" {
+	if must(NewNoTLB(phys)).Name() != "notlb" {
 		t.Fatal("notlb name")
 	}
 }

@@ -14,10 +14,10 @@ import (
 // hardwiredRefill constructs vm's walker exactly as the pre-registry
 // engine did — through the paper-default constructors, bypassing the
 // machine specs entirely.
-func hardwiredRefill(vm string, phys *mem.Phys) mmu.Refill {
+func hardwiredRefill(vm string, phys *mem.Phys) (mmu.Refill, error) {
 	switch vm {
 	case VMBase:
-		return nil
+		return nil, nil
 	case VMUltrix:
 		return mmu.NewUltrix(phys)
 	case VMMach:
@@ -79,7 +79,11 @@ func TestRegistryBuildBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hard, err := NewEngineWithRefill(cfg, hardwiredRefill(vm, mem.New(cfg.PhysMemBytes)))
+			refill, err := hardwiredRefill(vm, mem.New(cfg.PhysMemBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hard, err := NewEngineWithRefill(cfg, refill)
 			if err != nil {
 				t.Fatal(err)
 			}

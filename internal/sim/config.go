@@ -440,26 +440,17 @@ func (c Config) resolveMachine() (*machine.Spec, error) {
 
 // buildRefill constructs the configured machine's walker over phys by
 // resolving its spec (explicit or registry) and handing it to mmu.Build.
-// A machine with no VM system (BASE) returns (nil, nil). Walker
-// constructors reserve their page-table regions with MustReserve; a
-// region that does not fit the configured physical memory panics with a
-// typed exhaustion error, recovered here into a deterministic
-// "mem"-class failure instead of a retried panic.
-func buildRefill(c Config, phys *mem.Phys) (refill mmu.Refill, err error) {
-	spec, serr := c.resolveMachine()
-	if serr != nil {
-		return nil, serr
+// A machine with no VM system (BASE) returns (nil, nil). A page-table
+// region that does not fit the configured physical memory returns a
+// typed exhaustion error — a deterministic "mem"-class failure.
+func buildRefill(c Config, phys *mem.Phys) (mmu.Refill, error) {
+	spec, err := c.resolveMachine()
+	if err != nil {
+		return nil, err
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if perr, ok := r.(error); ok && errors.Is(perr, simerr.ErrMemExhausted) {
-			refill, err = nil, fmt.Errorf("sim: building %s walker: %w", spec.Name, perr)
-			return
-		}
-		panic(r)
-	}()
-	return mmu.Build(spec, phys)
+	refill, err := mmu.Build(spec, phys)
+	if err != nil {
+		return nil, fmt.Errorf("sim: building %s walker: %w", spec.Name, err)
+	}
+	return refill, nil
 }

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/addr"
+	"repro/internal/machine"
+	"repro/internal/simerr"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -339,6 +343,35 @@ func TestConfigValidation(t *testing.T) {
 	c.PhysMemBytes = 0
 	if err := c.Validate(); err == nil {
 		t.Fatal("zero physical memory accepted")
+	}
+}
+
+// TestPageTablesTooBigForPhysMem: every bundled machine with a page
+// table, given a one-page physical memory its tables cannot fit, fails
+// construction with a "mem"-class error — never a panic — whether it is
+// validated, built single-core, or built as a cluster.
+func TestPageTablesTooBigForPhysMem(t *testing.T) {
+	for _, spec := range machine.Bundled() {
+		if spec.Refill.Kind == machine.RefillNone {
+			continue
+		}
+		cfg := Default(spec.Name)
+		cfg.PhysMemBytes = addr.PageSize
+		mc := cfg
+		mc.Cores = 2
+		for _, c := range []struct {
+			name string
+			err  error
+		}{
+			{"Validate", cfg.Validate()},
+			{"NewEngine", func() error { _, err := NewEngine(cfg); return err }()},
+			{"NewMulticore", func() error { _, err := NewMulticore(mc); return err }()},
+		} {
+			if !errors.Is(c.err, simerr.ErrMemExhausted) || simerr.Category(c.err) != "mem" {
+				t.Errorf("%s: %s over %d bytes: err=%v (category %q), want a mem error",
+					spec.Name, c.name, cfg.PhysMemBytes, c.err, simerr.Category(c.err))
+			}
+		}
 	}
 }
 
