@@ -4,15 +4,18 @@
 // and replays reference traces through it, charging cycles in the
 // paper's MCPI/VMCPI taxonomy (Tables 2 and 3).
 //
-// Two replay loops exist. Engine.Run is the fast path: a specialized
-// per-phase loop whose per-reference work, once caches and TLBs are
-// warm, is a handful of compares with zero allocations (the allocation
-// budget is pinned by TestHitPathAllocationFree). Begin/Step/Finish is
-// the reference implementation: one reference at a time with invariant
-// hooks, used by external checkers such as the differential oracle in
-// internal/check; TestRunMatchesStep holds the two loops to identical
-// results. See PERFORMANCE.md at the repository root for how to measure
-// either.
+// One replay driver serves the single-core Engine and the Multicore
+// cluster alike (see driver in replay.go): an Engine is the 1-core case
+// of a loop over a slice of cores. Run, RunContext and the streaming
+// Feed go through runPhase, whose per-reference work, once caches and
+// TLBs are warm, is a handful of compares with zero allocations (pinned
+// by TestRunSteadyStateAllocationFree and
+// TestMulticoreRunAllocationFree). Begin/Step/Finish is the reference
+// implementation: one reference at a time with invariant hooks, used by
+// external checkers such as the differential oracle in internal/check;
+// TestRunMatchesStep and TestMulticoreRunMatchesStep hold the two loops
+// to identical results. See PERFORMANCE.md at the repository root for
+// how to measure either.
 package sim
 
 import (
@@ -34,7 +37,10 @@ import (
 // carries warm state (caches, TLBs, page tables); construct a fresh one
 // per measured run.
 type Engine struct {
-	cfg     Config
+	// driver replays the 1-element slice self; a core inside a Multicore
+	// is replayed by the cluster's driver instead.
+	driver
+	self    [1]*Engine
 	phys    *mem.Phys
 	refill  mmu.Refill
 	usesTLB bool
@@ -66,35 +72,21 @@ type Engine struct {
 	taggedTLB bool
 	curASID   uint8
 
-	// Stepping state (Begin/Step/Finish). warm is the warmup boundary in
-	// instructions; stepIdx the number of Step calls so far.
-	warm    int
-	stepIdx int
 	// invErr latches the first invariant violation when
 	// cfg.CheckInvariants is set.
 	invErr error
 
-	// Timeline sampling state (cfg.SampleEvery > 0; see timeline.go).
-	// sampleBase is the snapshot at the start of the measured window,
-	// samplePrev the snapshot at the previous interval boundary.
-	samples    []TimelineSample
-	sampleBase stats.Counters
-	samplePrev stats.Counters
-
-	// Streaming state (BeginStream/Feed/EndStream; see stream.go).
-	// streamTotal is the declared reference count (-1 when unknown); fed
-	// counts references consumed so far.
-	streaming   bool
-	streamName  string
-	streamTotal int
-	fed         int
+	// The per-reference tallies runPhase batches and folds into the
+	// statistics at phase end (see foldBatch): data references and L1
+	// hits on each side.
+	batchData, batchIHits, batchDHits uint64
 
 	// OS-kernel state (see oskernel and multicore.go). kern is nil for
 	// the paper's machine (first-touch, unbounded) — the hot path then
 	// pays one nil compare per TLB-hierarchy miss and nothing else.
-	// peers are the other cores sharing this kernel (multicore runs);
-	// kernErr latches the first kernel failure (memory exhaustion),
-	// checked at phase boundaries and per Step.
+	// peers are the cores sharing this kernel (multicore runs);
+	// kernErr latches the machine's first kernel failure (memory
+	// exhaustion) on core 0, checked per segment and per Step.
 	kern          *oskernel.Kernel
 	coreID        int
 	peers         []*Engine
@@ -193,11 +185,13 @@ func assemble(cfg Config, phys *mem.Phys, refill mmu.Refill) *Engine {
 	l1cfg := cache.Config{SizeBytes: cfg.L1SizeBytes, LineBytes: cfg.L1LineBytes, Assoc: cfg.L1Assoc}
 	l2cfg := cache.Config{SizeBytes: cfg.L2SizeBytes, LineBytes: cfg.L2LineBytes, Assoc: cfg.L2Assoc}
 	e := &Engine{
-		cfg:    cfg,
+		driver: driver{cfg: cfg},
 		phys:   phys,
 		refill: refill,
 		icache: cache.NewHierarchy(l1cfg, l2cfg),
 	}
+	e.self[0] = e
+	e.cores = e.self[:]
 	if cfg.UnifiedCaches {
 		// One shared hierarchy: instruction fetches and data references
 		// contend for the same lines.
@@ -312,14 +306,18 @@ func (e *Engine) dtlbMiss(asid uint8, va uint64) {
 
 // kernelTouch demands (asid, page-of-va) from the OS kernel: charges a
 // page fault when the page was not resident, and — when admitting it
-// evicted a victim — performs the victim's TLB shootdown. Kernel
-// failures (memory exhaustion) latch into kernErr; the replay loops
-// abort at their next check.
+// evicted a victim — performs the victim's TLB shootdown. The kernel is
+// the whole machine's, so its first failure (memory exhaustion) latches
+// on core 0, where the driver checks; replay aborts at its next check.
 func (e *Engine) kernelTouch(asid uint8, va uint64) {
 	ev, have, fault, err := e.kern.Touch(asid, addr.VPN(va))
 	if err != nil {
-		if e.kernErr == nil {
-			e.kernErr = fmt.Errorf("sim: core %d: %w", e.coreID, err)
+		head := e
+		if e.peers != nil {
+			head = e.peers[0]
+		}
+		if head.kernErr == nil {
+			head.kernErr = fmt.Errorf("sim: core %d: %w", e.coreID, err)
 		}
 		return
 	}
@@ -366,332 +364,9 @@ func (e *Engine) shootdown(p oskernel.Page) {
 	}
 }
 
-// Run replays tr through the simulated machine, following the paper's
-// §3.1 pseudocode: translate the fetch (walking the page table on an
-// I-TLB miss), look up the I-cache, then — for loads and stores —
-// translate the data address and look up the D-cache. For organizations
-// without TLBs the walker runs on user-level L2 misses instead.
-//
-// Run replays through runPhase, a specialized loop without the per-step
-// bookkeeping Step carries (warmup-boundary test, invariant hook, error
-// plumbing); with invariant checking enabled it falls back to the
-// Step-per-reference loop so violations are pinned to an instruction.
-// Step remains the reference implementation — TestRunMatchesStep holds
-// the two paths to identical results.
-func (e *Engine) Run(tr *trace.Trace) (*Result, error) {
-	return e.RunContext(context.Background(), tr)
-}
-
-// cancelCheckRefs is how many references RunContext replays between
-// cooperative cancellation checks. The check is one channel poll per
-// chunk — invisible against the chunk's simulation cost — yet bounds
-// how long a pathological configuration can outlive its context, which
-// is what lets the sweep pool impose per-point deadlines without
-// abandoning goroutines.
-const cancelCheckRefs = 1 << 16
-
-// RunContext is Run with cooperative cancellation: between chunks of
-// cancelCheckRefs references it polls ctx and, once the context is
-// done, abandons the run with an error wrapping both
-// simerr.ErrCancelled and the context's own cause (so errors.Is matches
-// either vocabulary). An un-cancelled RunContext is bit-identical to
-// Run: the phase loop folds its tallies additively, so chunking does
-// not change any counter.
-func (e *Engine) RunContext(ctx context.Context, tr *trace.Trace) (*Result, error) {
-	if err := e.Begin(tr); err != nil {
-		return nil, err
-	}
-	done := ctx.Done()
-	every := e.cfg.SampleEvery
-	if e.cfg.CheckInvariants {
-		for i := range tr.Refs {
-			if done != nil && i%cancelCheckRefs == 0 && ctx.Err() != nil {
-				return nil, e.cancelErr(ctx)
-			}
-			if err := e.Step(&tr.Refs[i]); err != nil {
-				return nil, err
-			}
-			if every > 0 && e.live && (i+1-e.warm)%every == 0 {
-				e.recordSample(i + 1)
-			}
-		}
-		if every > 0 && (len(tr.Refs)-e.warm)%every != 0 {
-			// The trailing partial interval, so the series always covers
-			// the whole measured window.
-			e.recordSample(len(tr.Refs))
-		}
-		return e.finishWithTimeline(tr.Name), nil
-	}
-	refs := tr.Refs
-	if err := e.runPhaseChunked(ctx, done, refs[:e.warm]); err != nil {
-		return nil, err
-	}
-	e.stepIdx = e.warm
-	if !e.live {
-		// Warmup over: start measuring, exactly as Step's boundary
-		// transition does.
-		e.live = true
-		if e.usesTLB {
-			e.itlb.ResetStats()
-			e.dtlb.ResetStats()
-		}
-		e.beginSampling()
-	}
-	if every > 0 {
-		// Sampled replay: the measured window proceeds one interval at a
-		// time, snapshotting at each boundary. The phase loop folds its
-		// tallies additively, so the extra boundaries change no counter —
-		// a sampled run is bit-identical to an unsampled one.
-		live := refs[e.warm:]
-		pos := e.warm
-		for len(live) > 0 {
-			n := every
-			if n > len(live) {
-				n = len(live)
-			}
-			if err := e.runPhaseChunked(ctx, done, live[:n]); err != nil {
-				return nil, err
-			}
-			pos += n
-			e.recordSample(pos)
-			live = live[n:]
-		}
-	} else if err := e.runPhaseChunked(ctx, done, refs[e.warm:]); err != nil {
-		return nil, err
-	}
-	e.stepIdx = len(refs)
-	return e.finishWithTimeline(tr.Name), nil
-}
-
-// finishWithTimeline is Finish plus the run's timeline samples.
-func (e *Engine) finishWithTimeline(workload string) *Result {
-	res := e.Finish(workload)
-	res.Timeline = e.samples
-	return res
-}
-
-// cancelErr wraps the context's cause in the failure taxonomy.
-func (e *Engine) cancelErr(ctx context.Context) error {
-	return fmt.Errorf("sim: run cancelled at instruction %d: %w: %w",
-		e.stepIdx, simerr.ErrCancelled, context.Cause(ctx))
-}
-
-// runPhaseChunked replays one warmup/live phase through runPhase,
-// checking for cancellation every cancelCheckRefs references. With no
-// cancellable context (done == nil — Run's path) it degenerates to one
-// direct runPhase call with zero added work.
-func (e *Engine) runPhaseChunked(ctx context.Context, done <-chan struct{}, refs []trace.Ref) error {
-	if done == nil {
-		e.runPhase(refs)
-		return e.kernErr
-	}
-	for len(refs) > 0 {
-		select {
-		case <-done:
-			return e.cancelErr(ctx)
-		default:
-		}
-		n := len(refs)
-		if n > cancelCheckRefs {
-			n = cancelCheckRefs
-		}
-		e.runPhase(refs[:n])
-		e.stepIdx += n
-		refs = refs[n:]
-		if e.kernErr != nil {
-			return e.kernErr
-		}
-	}
-	return nil
-}
-
-// runPhase replays refs through the machine within one warmup/live phase
-// (e.live is constant across a phase, so it is hoisted into a local).
-// The body mirrors Step's reference semantics exactly, minus the
-// per-step bookkeeping Run handles at phase granularity. Per-reference
-// tallies whose per-step increments would dominate the loop — user
-// instructions and the one I-TLB + at-most-one D-TLB lookup every
-// reference performs — accumulate in locals and fold into the real
-// counters once per phase; misses and all charged events still count at
-// the reference where they happen.
-func (e *Engine) runPhase(refs []trace.Ref) {
-	live := e.live
-	usesTLB := e.usesTLB
-	noTLBRefill := e.noTLBRefill
-	tagged := e.taggedTLB
-	// The same-fetch-line short-circuit below relies on lookups not
-	// mutating TLB state, which does not hold under LRU (a hit must
-	// refresh recency) — same reasoning as the TLB's own last-hit filter.
-	lineSkip := !usesTLB || e.cfg.TLBPolicy != tlb.LRU
-	unified := e.dcache == e.icache
-	// Stack copies of the L1 probes: nothing the loop calls can alias
-	// them, so their fields stay in registers across iterations.
-	ip, dp := e.iprobe, e.dprobe
-	itlb, dtlb := e.itlb, e.dtlb
-	var dataRefs, ihits, dhits uint64
-	// lastILine is the previous fetch's cache-line key (line+1; 0 = none)
-	// while that line is provably still resident and its page still
-	// translated: both can only be disturbed by the handlers and fills the
-	// miss paths run, and every miss block clears it. While valid, the
-	// whole instruction side reduces to one compare — consecutive fetches
-	// share a line for ~8 instructions at a time.
-	var lastILine uint64
-	for i := range refs {
-		r := &refs[i]
-		if r.ASID != e.curASID {
-			e.switchTo(r.ASID)
-			if live {
-				e.c.ContextSwitches++
-			}
-			// Switch hazards (untagged flush, other-process evictions)
-			// invalidate the fetch-line memo.
-			lastILine = 0
-		}
-		// asidTag folds the address space into TLB keys and cache
-		// addresses; see tlbKey and userCacheAddr, which the loop inlines
-		// with the taggedTLB branch hoisted to the tagged local.
-		asidTag := uint64(r.ASID) << 32
-
-		// Instruction side.
-		iline := userCacheAddr(r.ASID, r.PC) >> ip.Shift()
-		if iline+1 == lastILine {
-			ihits++
-		} else {
-			lastILine = 0
-			if usesTLB {
-				key := addr.VPN(r.PC)
-				if tagged {
-					key |= asidTag
-				}
-				if !itlb.LookupUncounted(key) {
-					e.itlbMiss(r.ASID, r.PC)
-				}
-			}
-			if ip.HitQuiet(userCacheAddr(r.ASID, r.PC)) {
-				ihits++
-				// Memoize only the all-hit case: the line is resident and
-				// (when a TLB is in play) its VPN is both resident and
-				// already the TLB's own last-hit entry, so a skipped
-				// lookup is indistinguishable from a performed one.
-				if lineSkip {
-					lastILine = iline + 1
-				}
-			} else {
-				lvl := e.icache.AccessMissedL1(userCacheAddr(r.ASID, r.PC))
-				if lvl != cache.L1Hit && live {
-					e.c.Charge(stats.L1IMiss, stats.L1MissPenalty)
-					if lvl == cache.Memory {
-						e.c.Charge(stats.L2IMiss, stats.L2MissPenalty)
-					}
-				}
-				if lvl == cache.Memory && noTLBRefill {
-					if e.kern != nil {
-						e.kernelTouch(r.ASID, r.PC)
-					}
-					e.refill.HandleMiss(e, r.ASID, r.PC, true)
-				}
-			}
-		}
-
-		// Data side.
-		if r.Kind == trace.None {
-			continue
-		}
-		dataRefs++
-		if usesTLB {
-			key := addr.VPN(r.Data)
-			if tagged {
-				key |= asidTag
-			}
-			if !dtlb.LookupUncounted(key) {
-				e.dtlbMiss(r.ASID, r.Data)
-				// The refill handler fetches its own code through the
-				// I-cache, which may evict the memoized fetch line.
-				lastILine = 0
-			}
-		}
-		if r.Flags&trace.FlagUncached != 0 {
-			if live {
-				e.c.Charge(stats.L1DMiss, stats.L1MissPenalty)
-				e.c.Charge(stats.L2DMiss, stats.L2MissPenalty)
-			}
-			continue
-		}
-		if dp.HitQuiet(userCacheAddr(r.ASID, r.Data)) {
-			dhits++
-		} else {
-			lvl := e.dcache.AccessMissedL1(userCacheAddr(r.ASID, r.Data))
-			if lvl != cache.L1Hit && live {
-				e.c.Charge(stats.L1DMiss, stats.L1MissPenalty)
-				if lvl == cache.Memory {
-					e.c.Charge(stats.L2DMiss, stats.L2MissPenalty)
-				}
-			}
-			if lvl == cache.Memory && noTLBRefill {
-				if e.kern != nil {
-					e.kernelTouch(r.ASID, r.Data)
-				}
-				e.refill.HandleMiss(e, r.ASID, r.Data, false)
-			}
-			if unified || noTLBRefill {
-				// A unified-cache data fill can evict the memoized fetch
-				// line directly; a software cache-fill handler can evict
-				// it through its code fetches.
-				lastILine = 0
-			}
-		}
-	}
-	if live {
-		e.c.UserInstrs += uint64(len(refs))
-	}
-	if usesTLB {
-		// Warm-phase lookups are folded in too; the warm-boundary
-		// ResetStats clears them exactly as it clears per-step tallies.
-		itlb.AddLookups(uint64(len(refs)))
-		dtlb.AddLookups(dataRefs)
-	}
-	ip.AddHits(ihits)
-	dp.AddHits(dhits)
-}
-
-// Begin prepares the engine to replay tr one reference at a time with
-// Step. Run is Begin + Step-per-reference + Finish; external checkers
-// (internal/check's differential harness) drive the same loop themselves
-// so they can compare machine state after every reference.
-func (e *Engine) Begin(tr *trace.Trace) error {
-	if err := tr.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	e.warm = e.cfg.WarmupInstrs
-	if e.warm > len(tr.Refs)/2 {
-		e.warm = len(tr.Refs) / 2
-	}
-	e.live = e.warm == 0
-	e.stepIdx = 0
-	e.samples = nil
-	if e.live {
-		// No warmup: the measured window starts immediately.
-		e.beginSampling()
-	}
-	return nil
-}
-
-// Step replays one reference. It returns a non-nil error only when
-// cfg.CheckInvariants is set and a conservation law fails after the
-// reference completes.
-func (e *Engine) Step(r *trace.Ref) error {
-	if e.stepIdx == e.warm && !e.live {
-		// Warmup over: start measuring. Cache/TLB contents carry
-		// over; statistics restart from zero.
-		e.live = true
-		if e.usesTLB {
-			e.itlb.ResetStats()
-			e.dtlb.ResetStats()
-		}
-		e.beginSampling()
-	}
-	e.stepIdx++
-	noTLBRefill := e.noTLBRefill
+// exec replays one reference on this core: Step's body, the readable
+// reference implementation of the paper's §3.1 pseudocode.
+func (e *Engine) exec(r *trace.Ref) {
 	if r.ASID != e.curASID {
 		e.switchTo(r.ASID)
 		if e.live {
@@ -709,24 +384,12 @@ func (e *Engine) Step(r *trace.Ref) error {
 		e.itlbMiss(r.ASID, r.PC)
 	}
 	if !e.iprobe.Hit(userCacheAddr(r.ASID, r.PC)) {
-		lvl := e.icache.AccessMissedL1(userCacheAddr(r.ASID, r.PC))
-		if lvl != cache.L1Hit && e.live {
-			e.c.Charge(stats.L1IMiss, stats.L1MissPenalty)
-			if lvl == cache.Memory {
-				e.c.Charge(stats.L2IMiss, stats.L2MissPenalty)
-			}
-		}
-		if lvl == cache.Memory && noTLBRefill {
-			if e.kern != nil {
-				e.kernelTouch(r.ASID, r.PC)
-			}
-			e.refill.HandleMiss(e, r.ASID, r.PC, true)
-		}
+		e.l1Miss(e.icache, r.ASID, r.PC, true)
 	}
 
 	// Data side.
 	if r.Kind == trace.None {
-		return e.stepErr()
+		return
 	}
 	if e.usesTLB && !e.dtlb.Lookup(e.tlbKey(r.ASID, addr.VPN(r.Data))) {
 		e.dtlbMiss(r.ASID, r.Data)
@@ -741,34 +404,34 @@ func (e *Engine) Step(r *trace.Ref) error {
 			e.c.Charge(stats.L1DMiss, stats.L1MissPenalty)
 			e.c.Charge(stats.L2DMiss, stats.L2MissPenalty)
 		}
-		return e.stepErr()
+		return
 	}
 	if !e.dprobe.Hit(userCacheAddr(r.ASID, r.Data)) {
-		lvl := e.dcache.AccessMissedL1(userCacheAddr(r.ASID, r.Data))
-		if lvl != cache.L1Hit && e.live {
-			e.c.Charge(stats.L1DMiss, stats.L1MissPenalty)
-			if lvl == cache.Memory {
-				e.c.Charge(stats.L2DMiss, stats.L2MissPenalty)
-			}
-		}
-		if lvl == cache.Memory && noTLBRefill {
-			if e.kern != nil {
-				e.kernelTouch(r.ASID, r.Data)
-			}
-			e.refill.HandleMiss(e, r.ASID, r.Data, false)
-		}
+		e.l1Miss(e.dcache, r.ASID, r.Data, false)
 	}
-	return e.stepErr()
 }
 
-// stepErr is Step's exit check: a latched kernel failure aborts the
-// stepped run exactly as it aborts the phase loop, then the optional
-// invariant hook runs.
-func (e *Engine) stepErr() error {
-	if e.kernErr != nil {
-		return e.kernErr
+// l1Miss completes a reference whose L1 probe missed: the L1 fill and
+// the L2 access with their charges and — for the software-managed-cache
+// organizations, on a user L2 miss — the cache-fill handler.
+func (e *Engine) l1Miss(h *cache.Hierarchy, asid uint8, va uint64, fetch bool) {
+	lvl := h.AccessMissedL1(userCacheAddr(asid, va))
+	if lvl != cache.L1Hit && e.live {
+		l1c, l2c := stats.L1DMiss, stats.L2DMiss
+		if fetch {
+			l1c, l2c = stats.L1IMiss, stats.L2IMiss
+		}
+		e.c.Charge(l1c, stats.L1MissPenalty)
+		if lvl == cache.Memory {
+			e.c.Charge(l2c, stats.L2MissPenalty)
+		}
 	}
-	return e.maybeCheckInvariants()
+	if lvl == cache.Memory && e.noTLBRefill {
+		if e.kern != nil {
+			e.kernelTouch(asid, va)
+		}
+		e.refill.HandleMiss(e, asid, va, fetch)
+	}
 }
 
 // Digest is a compact summary of the engine's mutable machine state —
@@ -811,17 +474,6 @@ func (e *Engine) Snapshot() stats.Counters {
 		c.DTLBLookups, c.DTLBMisses = dst.Lookups, dst.Misses
 	}
 	return c
-}
-
-// Finish assembles the Result after the last Step.
-func (e *Engine) Finish(workload string) *Result {
-	e.c = e.Snapshot()
-	return &Result{
-		Config:         e.cfg,
-		Workload:       workload,
-		Counters:       e.c,
-		AvgChainLength: chainStats(e.refill),
-	}
 }
 
 // chainStats extracts the average collision-chain length from hashed-

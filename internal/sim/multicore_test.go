@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/simerr"
@@ -273,6 +275,11 @@ func TestMulticoreStreamMatchesBatch(t *testing.T) {
 	var streamed []TimelineSample
 	for i := 0; i < tr.Len(); {
 		n := 1 + (i*2281)%4_097 // deterministic ragged chunking
+		if i >= 9_000 && i < 12_500 {
+			// 1-reference chunks across a sampling boundary and several
+			// core rotations: every reference is its own segment.
+			n = 1
+		}
 		if i+n > tr.Len() {
 			n = tr.Len() - i
 		}
@@ -382,5 +389,157 @@ func TestConfigRejectsBadMulticoreKnobs(t *testing.T) {
 	}
 	if !errors.Is(err, simerr.ErrConfigInvalid) {
 		t.Fatalf("policy error %v does not wrap ErrConfigInvalid", err)
+	}
+}
+
+// BenchmarkMulticoreRun times the cluster's batch replay: a fresh
+// machine under a tight frame budget (so the kernel evicts and shoots
+// down translations) replays a 4-program mix at 1, 2 and 4 cores under
+// each evicting policy. ns/ref is the wall time per trace reference,
+// every core's share included.
+func BenchmarkMulticoreRun(b *testing.B) {
+	const refs = 200_000
+	for _, cores := range []int{1, 2, 4} {
+		tr, err := workload.Multicore([]string{"gcc", "vortex", "ijpeg", "compress"}, 1, cores, refs, 50_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, pol := range []string{"lru", "clock", "random"} {
+			b.Run(fmt.Sprintf("cores=%d/%s", cores, pol), func(b *testing.B) {
+				cfg := Default(VMUltrix)
+				cfg.Cores = cores
+				cfg.OSPolicy = pol
+				cfg.MemFrames = 256
+				cfg.WarmupInstrs = refs / 10
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					m, err := NewMulticore(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := m.Run(tr); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*refs), "ns/ref")
+			})
+		}
+	}
+}
+
+// mcStepRun replays tr through the cluster's Begin/Step/Finish reference
+// loop. On a Step error it returns the machine and the error.
+func mcStepRun(cfg Config, tr *trace.Trace) (*Multicore, *Result, error) {
+	m, err := NewMulticore(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := m.Begin(tr); err != nil {
+		return nil, nil, err
+	}
+	for i := range tr.Refs {
+		if err := m.Step(&tr.Refs[i]); err != nil {
+			return m, nil, err
+		}
+	}
+	return m, m.Finish(tr.Name), nil
+}
+
+// TestMulticoreRunMatchesStep holds the cluster's batched phase loop to
+// the Step-per-reference loop across core counts, every OS policy, and
+// TLB, hashed-table, no-TLB and two-level-TLB organizations. A 96-frame
+// budget makes evictions and shootdowns constant (and exhausts
+// first-touch, whose failure must land on the same reference), and the
+// warmup boundary sits mid-trace off any core or interval boundary. With
+// and without sampling, Run must reproduce the Step loop's counters,
+// every core's counters and machine state, and the timeline bit for bit.
+func TestMulticoreRunMatchesStep(t *testing.T) {
+	for _, cores := range []int{1, 2, 4} {
+		tr := mcTrace(t, cores, 24_000)
+		for _, pol := range []string{"first-touch", "round-robin", "random", "lru", "clock"} {
+			for _, vm := range []string{VMUltrix, VMIntel, VMPARISC, VMNoTLB, VML2TLB} {
+				for _, every := range []int{0, 3_001} {
+					name := fmt.Sprintf("cores=%d/%s/%s/sample=%d", cores, pol, vm, every)
+					t.Run(name, func(t *testing.T) {
+						cfg := Default(vm)
+						cfg.Cores = cores
+						cfg.OSPolicy = pol
+						cfg.MemFrames = 96
+						cfg.ShootdownCost = 40
+						cfg.WarmupInstrs = 7_001
+						cfg.SampleEvery = every
+						stepM, want, stepErr := mcStepRun(cfg, tr)
+						m, err := NewMulticore(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, runErr := m.Run(tr)
+						if stepErr != nil || runErr != nil {
+							if stepErr == nil || runErr == nil || stepErr.Error() != runErr.Error() {
+								t.Fatalf("errors diverge:\nrun:  %v\nstep: %v", runErr, stepErr)
+							}
+							if !errors.Is(runErr, simerr.ErrMemExhausted) {
+								t.Fatalf("unexpected failure %v", runErr)
+							}
+							return
+						}
+						if got.Counters != want.Counters {
+							t.Fatalf("Run counters diverge from Step loop:\nrun:  %+v\nstep: %+v",
+								got.Counters, want.Counters)
+						}
+						if len(got.PerCore) != cores || len(want.PerCore) != cores {
+							t.Fatalf("PerCore lengths %d/%d, want %d", len(got.PerCore), len(want.PerCore), cores)
+						}
+						for c := 0; c < cores; c++ {
+							if got.PerCore[c] != want.PerCore[c] {
+								t.Fatalf("core %d counters diverge:\nrun:  %+v\nstep: %+v",
+									c, got.PerCore[c], want.PerCore[c])
+							}
+							if m.CoreDigest(c) != stepM.CoreDigest(c) {
+								t.Fatalf("core %d digest diverges:\nrun:  %+v\nstep: %+v",
+									c, m.CoreDigest(c), stepM.CoreDigest(c))
+							}
+						}
+						if !reflect.DeepEqual(got.Timeline, want.Timeline) {
+							t.Fatalf("timelines diverge:\nrun:  %+v\nstep: %+v", got.Timeline, want.Timeline)
+						}
+						if every > 0 && len(got.Timeline) == 0 {
+							t.Fatal("sampled run recorded no timeline")
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestMulticoreRunAllocationFree pins the cluster's batch replay to the
+// engine's allocation budget: once a 4-core machine is warm — caches,
+// TLBs, page table and kernel at their working set — a whole-trace Run
+// allocates only the Result and its PerCore slice.
+func TestMulticoreRunAllocationFree(t *testing.T) {
+	tr := mcTrace(t, 4, 20_000)
+	cfg := Default(VMUltrix)
+	cfg.Cores = 4
+	cfg.OSPolicy = "lru"
+	cfg.MemFrames = 256
+	cfg.ShootdownCost = 40
+	cfg.WarmupInstrs = 2_000
+	m, err := NewMulticore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(tr); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(3, func() {
+		if _, err := m.Run(tr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 2 {
+		t.Errorf("steady-state multicore Run allocates %.2f objects per replay, want <= 2 (the Result and PerCore)", avg)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/simerr"
@@ -11,38 +12,37 @@ import (
 // reference chunks as they arrive (from a network body, a growing
 // file, a pipe — the caller chooses the chunking), and EndStream
 // finalizes the Result. The three calls together are RunContext with
-// the trace delivered piecewise instead of whole.
+// the trace delivered piecewise instead of whole, and they work the
+// same on the single-core Engine and the Multicore cluster.
 //
 // The state machine has three phases, advanced only by Feed:
 //
-//	warming    fed < warm: references evolve the machine state but
+//	warming    pos < warm: references evolve the machine state but
 //	           charge nothing. A chunk spanning the warmup boundary is
 //	           split there; crossing it resets the TLB statistics and
-//	           arms timeline sampling, exactly as RunContext's boundary
-//	           transition does.
-//	measuring  fed >= warm: references charge cycles. With SampleEvery
+//	           arms timeline sampling, exactly as a batch run does.
+//	measuring  pos >= warm: references charge cycles. With SampleEvery
 //	           set, chunks are further split at interval boundaries and
 //	           each completed interval appends a TimelineSample, which
 //	           Feed returns so a serving layer can push rows live.
 //	ended      EndStream: the trailing partial interval (if any) is
 //	           recorded and the Result assembled.
 //
-// Equivalence to batch: Feed replays each segment through runPhase, the
-// same loop RunContext uses, and runPhase folds every per-reference
-// tally additively — a property the batch path already relies on
-// (RunContext chunks at cancellation checks and interval boundaries;
-// TestTimelineDoesNotPerturbResults pins that those boundaries change
-// no counter). Segment boundaries are therefore invisible to every
-// counter, so a run fed in arbitrary chunks is bit-identical — counters,
-// timeline, and machine-state digest — to Run over the concatenated
-// trace. TestStreamMatchesBatch holds this over randomized chunk
-// permutations for every bundled machine; the serving layer's
-// end-to-end suites hold it across the wire.
+// Equivalence to batch: Feed replays each chunk through replay, the same
+// driver RunContext uses, which already cuts the stream at warmup,
+// interval and cancellation boundaries; runPhase folds every
+// per-reference tally additively, so a chunk boundary is just one more
+// cut, invisible to every counter. A run fed in arbitrary chunks is
+// therefore bit-identical — counters, timeline, and machine-state digest
+// — to Run over the concatenated trace. TestStreamMatchesBatch and
+// TestMulticoreStreamMatchesBatch hold this over ragged and randomized
+// chunkings; the serving layer's end-to-end suites hold it across the
+// wire.
 //
 // Streaming and the whole-trace entry points (Run/RunContext,
-// Begin/Step) must not be interleaved on one engine: a stream is open
+// Begin/Step) must not be interleaved on one machine: a stream is open
 // from BeginStream until EndStream, and both batch entry points reset
-// the stepping state a stream depends on.
+// the replay state a stream depends on.
 
 // BeginStream opens an incremental run. total is the stream's declared
 // reference count (a .vmtrc header carries it), which fixes the warmup
@@ -51,133 +51,59 @@ import (
 // WarmupInstrs applies uncapped, the one necessary divergence from
 // batch (the cap needs a length), and EndStream skips the short-stream
 // check. name labels the run's Result and any validation errors.
-func (e *Engine) BeginStream(name string, total int) error {
-	if e.streaming {
-		return fmt.Errorf("sim: BeginStream: stream %q already open", e.streamName)
+func (d *driver) BeginStream(name string, total int) error {
+	if d.streaming {
+		return fmt.Errorf("sim: BeginStream: stream %q already open", d.streamName)
 	}
-	e.warm = e.cfg.WarmupInstrs
-	if total >= 0 && e.warm > total/2 {
-		e.warm = total / 2
-	}
-	e.streaming = true
-	e.streamName = name
-	e.streamTotal = total
-	e.fed = 0
-	e.live = e.warm == 0
-	e.stepIdx = 0
-	e.samples = nil
-	if e.live {
-		// No warmup: the measured window starts immediately.
-		e.beginSampling()
-	}
+	d.streaming = true
+	d.streamName = name
+	d.streamTotal = total
+	d.begin(total)
 	return nil
 }
 
 // Feed replays the next chunk of the stream and returns the timeline
 // samples the chunk completed (nil when sampling is off or no interval
-// boundary was crossed; the returned slice aliases the engine's sample
-// buffer and stays valid through EndStream). Chunks are validated on
-// entry with the same invariants batch replay enforces; a violation —
-// or feeding past a declared total — fails with an error wrapping
-// simerr.ErrTraceCorrupt and leaves the already-replayed prefix's state
-// intact.
-func (e *Engine) Feed(refs []trace.Ref) ([]TimelineSample, error) {
-	if !e.streaming {
+// boundary was crossed; the returned slice aliases the sample buffer and
+// stays valid through EndStream). Chunks are validated on entry with the
+// same invariants batch replay enforces; a violation — or feeding past a
+// declared total — fails with an error wrapping simerr.ErrTraceCorrupt
+// and leaves the already-replayed prefix's state intact.
+func (d *driver) Feed(refs []trace.Ref) ([]TimelineSample, error) {
+	if !d.streaming {
 		return nil, fmt.Errorf("sim: Feed without BeginStream")
 	}
 	if len(refs) == 0 {
 		return nil, nil
 	}
-	if e.streamTotal >= 0 && e.fed+len(refs) > e.streamTotal {
+	if d.streamTotal >= 0 && d.pos+len(refs) > d.streamTotal {
 		return nil, fmt.Errorf("sim: stream %q overfed: %d more references after %d of a declared %d: %w",
-			e.streamName, len(refs), e.fed, e.streamTotal, simerr.ErrTraceCorrupt)
+			d.streamName, len(refs), d.pos, d.streamTotal, simerr.ErrTraceCorrupt)
 	}
-	if err := trace.ValidateRefs(e.streamName, e.fed, refs); err != nil {
+	if err := trace.ValidateRefs(d.streamName, d.pos, refs); err != nil {
 		return nil, err
 	}
-	base := len(e.samples)
-	every := e.cfg.SampleEvery
-	if e.cfg.CheckInvariants {
-		// The Step-per-reference loop, mirroring RunContext's invariant
-		// path: Step itself handles the warmup boundary.
-		for i := range refs {
-			if err := e.Step(&refs[i]); err != nil {
-				return nil, err
-			}
-			e.fed++
-			if every > 0 && e.live && (e.fed-e.warm)%every == 0 {
-				e.recordSample(e.fed)
-			}
-		}
-		return e.samples[base:len(e.samples):len(e.samples)], nil
+	base := len(d.samples)
+	if err := d.replay(context.Background(), refs); err != nil {
+		return nil, err
 	}
-	for len(refs) > 0 {
-		n := len(refs)
-		if !e.live {
-			// Still inside the warmup prefix: run at most up to the
-			// boundary, then flip to measuring exactly as RunContext's
-			// boundary transition does.
-			if room := e.warm - e.fed; n > room {
-				n = room
-			}
-			e.runPhase(refs[:n])
-			e.fed += n
-			e.stepIdx = e.fed
-			refs = refs[n:]
-			if e.kernErr != nil {
-				return nil, e.kernErr
-			}
-			if e.fed == e.warm {
-				e.live = true
-				if e.usesTLB {
-					e.itlb.ResetStats()
-					e.dtlb.ResetStats()
-				}
-				e.beginSampling()
-			}
-			continue
-		}
-		if every > 0 {
-			// Run at most to the next interval boundary; the phase loop
-			// folds its tallies additively, so the split changes no
-			// counter — the same argument RunContext's sampled loop makes.
-			if room := every - (e.fed-e.warm)%every; n > room {
-				n = room
-			}
-		}
-		e.runPhase(refs[:n])
-		e.fed += n
-		e.stepIdx = e.fed
-		refs = refs[n:]
-		if e.kernErr != nil {
-			return nil, e.kernErr
-		}
-		if every > 0 && (e.fed-e.warm)%every == 0 {
-			e.recordSample(e.fed)
-		}
-	}
-	return e.samples[base:len(e.samples):len(e.samples)], nil
+	return d.samples[base:len(d.samples):len(d.samples)], nil
 }
 
 // EndStream closes the stream and assembles the Result (counters plus
 // the full timeline, trailing partial interval included). A stream that
 // declared a total but ended short fails with an error wrapping
 // simerr.ErrTraceCorrupt — a truncated upload must not masquerade as a
-// completed run. The engine's machine state is preserved either way
-// (Digest still describes it), and a new stream or batch run may follow.
-func (e *Engine) EndStream() (*Result, error) {
-	if !e.streaming {
+// completed run. The machine state is preserved either way (Digest
+// still describes it), and a new stream or batch run may follow.
+func (d *driver) EndStream() (*Result, error) {
+	if !d.streaming {
 		return nil, fmt.Errorf("sim: EndStream without BeginStream")
 	}
-	e.streaming = false
-	if e.streamTotal >= 0 && e.fed != e.streamTotal {
+	d.streaming = false
+	if d.streamTotal >= 0 && d.pos != d.streamTotal {
 		return nil, fmt.Errorf("sim: stream %q ended at reference %d of a declared %d: %w",
-			e.streamName, e.fed, e.streamTotal, simerr.ErrTraceCorrupt)
+			d.streamName, d.pos, d.streamTotal, simerr.ErrTraceCorrupt)
 	}
-	if every := e.cfg.SampleEvery; every > 0 && e.live && (e.fed-e.warm)%every != 0 {
-		// The trailing partial interval, so the series always covers the
-		// whole measured window — exactly as a batch run records it.
-		e.recordSample(e.fed)
-	}
-	return e.finishWithTimeline(e.streamName), nil
+	return d.Finish(d.streamName), nil
 }

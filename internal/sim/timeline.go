@@ -53,30 +53,43 @@ func WriteTimelineCSV(w io.Writer, samples []TimelineSample) error {
 	return nil
 }
 
+// snapshot sums every core's own snapshot. The decomposition laws
+// survive the summation — each component's cycles and events add
+// independently — so the cluster's MCPI and VMCPI are the per-instruction
+// overheads of the whole machine.
+func (d *driver) snapshot() stats.Counters {
+	var sum stats.Counters
+	for _, e := range d.cores {
+		c := e.Snapshot()
+		sum.Add(&c)
+	}
+	return sum
+}
+
 // beginSampling re-arms timeline sampling at the start of the measured
 // window: the current snapshot becomes both the window base (for
 // cumulative Totals) and the previous-sample marker (for Deltas). A
 // no-op unless Config.SampleEvery is set.
-func (e *Engine) beginSampling() {
-	if e.cfg.SampleEvery <= 0 {
+func (d *driver) beginSampling() {
+	if d.cfg.SampleEvery <= 0 {
 		return
 	}
-	base := e.Snapshot()
-	e.sampleBase = base
-	e.samplePrev = base
+	base := d.snapshot()
+	d.sampleBase = base
+	d.samplePrev = base
 }
 
 // recordSample appends the interval ending at trace position pos.
-func (e *Engine) recordSample(pos int) {
-	cur := e.Snapshot()
+func (d *driver) recordSample(pos int) {
+	cur := d.snapshot()
 	delta, total := cur, cur
-	delta.Sub(&e.samplePrev)
-	total.Sub(&e.sampleBase)
-	e.samples = append(e.samples, TimelineSample{Instr: uint64(pos), Delta: delta, Total: total})
-	e.samplePrev = cur
+	delta.Sub(&d.samplePrev)
+	total.Sub(&d.sampleBase)
+	d.samples = append(d.samples, TimelineSample{Instr: uint64(pos), Delta: delta, Total: total})
+	d.samplePrev = cur
 }
 
 // Timeline returns the samples recorded by the most recent run (nil
 // when Config.SampleEvery is zero). The finished Result carries the
 // same slice.
-func (e *Engine) Timeline() []TimelineSample { return e.samples }
+func (d *driver) Timeline() []TimelineSample { return d.samples }
