@@ -1,8 +1,9 @@
 // Package golden pins the CSV output of every paper artifact —
-// Tables 1–4 and Figures 6–12 — at a reduced trace length, so that any
-// change to the simulator that shifts a published number is caught as a
-// test failure rather than discovered after the fact in a regenerated
-// report.
+// Tables 1–4 and Figures 6–12 — and of the hybrids study, which runs
+// the bundled walkers the figures do not, at a reduced trace length, so
+// that any change to the simulator that shifts a published number is
+// caught as a test failure rather than discovered after the fact in a
+// regenerated report.
 //
 // The goldens live in testdata/<id>.csv and are regenerated with
 //
@@ -23,12 +24,14 @@ import (
 )
 
 // PaperIDs lists the artifacts that carry a golden file: the paper's
-// four tables and seven figures, in presentation order.
+// four tables and seven figures, in presentation order, then the hybrids
+// study (§4.2/§5), which pins the walkers no figure exercises.
 func PaperIDs() []string {
 	return []string{
 		"tab1", "tab2", "tab3", "tab4",
 		"fig6", "fig7", "fig8", "fig9",
 		"fig10", "fig11", "fig12",
+		"hybrids",
 	}
 }
 
