@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/addr"
-	"repro/internal/mmu"
+	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -103,22 +103,26 @@ func runTab3(o Options) (*Report, error) {
 }
 
 func runTab4(o Options) (*Report, error) {
+	// The handler costs are read from the bundled machine specs, the
+	// same values the walkers are built with.
+	var c [5]machine.CostSpec
+	for i, vm := range []string{sim.VMUltrix, sim.VMMach, sim.VMIntel, sim.VMPARISC, sim.VMNoTLB} {
+		spec, err := machine.Lookup(vm)
+		if err != nil {
+			return nil, err
+		}
+		c[i] = spec.Costs
+	}
+	ultrix, mach, intel, parisc, notlb := c[0], c[1], c[2], c[3], c[4]
+	onePTE := func(instrs int) string { return fmt.Sprintf("%d instrs, 1 PTE load", instrs) }
 	t := report.NewTable("VM Sim", "User Handler", "Kernel Handler", "Root Handler")
-	t.AddRow("ULTRIX",
-		fmt.Sprintf("%d instrs, 1 PTE load", mmu.UserHandlerInstrs),
-		"n.a.",
-		fmt.Sprintf("%d instrs, 1 PTE load", mmu.KernelHandlerInstrs))
-	t.AddRow("MACH",
-		fmt.Sprintf("%d instrs, 1 PTE load", mmu.UserHandlerInstrs),
-		fmt.Sprintf("%d instrs, 1 PTE load", mmu.KernelHandlerInstrs),
-		fmt.Sprintf("%d instrs, %d admin loads + 1 PTE load", mmu.MachRootHandlerInstrs, mmu.MachRootAdminLoads))
+	t.AddRow("ULTRIX", onePTE(ultrix.UserHandlerInstrs), "n.a.", onePTE(ultrix.RootHandlerInstrs))
+	t.AddRow("MACH", onePTE(mach.UserHandlerInstrs), onePTE(mach.KernelHandlerInstrs),
+		fmt.Sprintf("%d instrs, %d admin loads + 1 PTE load", mach.RootHandlerInstrs, mach.RootAdminLoads))
 	t.AddRow("INTEL",
-		fmt.Sprintf("%d cycles, 2 PTE loads", mmu.IntelWalkCycles), "n.a.", "n.a.")
+		fmt.Sprintf("%d cycles, 2 PTE loads", intel.WalkCycles), "n.a.", "n.a.")
 	t.AddRow("PA-RISC",
-		fmt.Sprintf("%d instrs, variable # PTE loads", mmu.PARISCHandlerInstrs), "n.a.", "n.a.")
-	t.AddRow("NOTLB",
-		fmt.Sprintf("%d instrs, 1 PTE load", mmu.UserHandlerInstrs),
-		"n.a.",
-		fmt.Sprintf("%d instrs, 1 PTE load", mmu.KernelHandlerInstrs))
+		fmt.Sprintf("%d instrs, variable # PTE loads", parisc.UserHandlerInstrs), "n.a.", "n.a.")
+	t.AddRow("NOTLB", onePTE(notlb.UserHandlerInstrs), "n.a.", onePTE(notlb.RootHandlerInstrs))
 	return &Report{ID: "tab4", Title: "Table 4", Text: t.String(), CSV: t.CSV()}, nil
 }

@@ -297,3 +297,27 @@ func TestBundledValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestHandlerCostsMatchTable4 pins the bundled paper machines' cost
+// models to the paper's Table 4: ten-instruction user handlers, a
+// twenty-instruction kernel/root handler, Mach's 500-instruction root
+// path with ten administrative loads, PA-RISC's twenty-instruction
+// handler, and the seven-cycle x86 walk.
+func TestHandlerCostsMatchTable4(t *testing.T) {
+	want := map[string]CostSpec{
+		"ultrix":  {UserHandlerInstrs: 10, RootHandlerInstrs: 20},
+		"mach":    {UserHandlerInstrs: 10, KernelHandlerInstrs: 20, RootHandlerInstrs: 500, RootAdminLoads: 10},
+		"intel":   {WalkCycles: 7},
+		"pa-risc": {UserHandlerInstrs: 20},
+		"notlb":   {UserHandlerInstrs: 10, RootHandlerInstrs: 20},
+	}
+	for name, w := range want {
+		s, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Costs != w {
+			t.Errorf("%s costs %+v diverge from paper Table 4 %+v", name, s.Costs, w)
+		}
+	}
+}

@@ -19,9 +19,9 @@ func paperTLB(protected int) TLBSpec {
 
 // bundled returns the built-in machine specs in presentation order: the
 // paper's Table 1 organizations, the §4.2/§5 hybrids, and the two-level-
-// TLB extension. Every spec mirrors the corresponding hardwired
-// constructor's parameters exactly — the bit-identity tests in
-// internal/sim pin that.
+// TLB extension. The paper machines carry the Table 4 handler costs; the
+// golden results in internal/check/golden pin what every one of them
+// simulates.
 func bundled() []*Spec {
 	return []*Spec{
 		{

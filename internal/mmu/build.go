@@ -8,13 +8,14 @@ import (
 	"repro/internal/ptable"
 )
 
-// Build constructs the walker a machine spec declares over phys. The
-// dispatch is (refill kind × page-table organization) → walker
-// implementation; the spec's cost model parameterizes handler lengths
-// and walk cycles, and its TLB section parameterizes the metadata the
-// walker reports (name, protected slots, ASID tagging). A nil refill
-// with a nil error means the spec declares no VM system (the BASE
-// machine).
+// Build constructs the walker a machine spec declares over phys; it is
+// the only way a walker is made. The dispatch is (refill kind ×
+// page-table organization) → walker implementation, with a pfsm refill
+// building the same walker as a hardware one; the spec's cost model
+// parameterizes handler lengths and walk cycles, and its TLB section
+// parameterizes the metadata the walker reports (name, protected slots,
+// ASID tagging). A nil refill with a nil error means the spec declares
+// no VM system (the BASE machine).
 //
 // Build validates the spec first, so the combination cases below can
 // assume a buildable shape; an unbuildable spec never reaches them. A
@@ -78,14 +79,6 @@ func Build(spec *machine.Spec, phys *mem.Phys) (Refill, error) {
 		if err != nil {
 			return nil, err
 		}
-		if spec.Refill.Kind == machine.RefillPFSM {
-			return &PFSM{
-				meta:   md,
-				table:  PFSMHierarchical,
-				cycles: c.WalkCycles,
-				hier:   pt,
-			}, nil
-		}
 		return &Intel{
 			meta:       md,
 			pt:         pt,
@@ -96,27 +89,18 @@ func Build(spec *machine.Spec, phys *mem.Phys) (Refill, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch spec.Refill.Kind {
-		case machine.RefillSoftware:
+		if sw {
 			return &PARISC{
 				meta:          md,
 				pt:            pt,
 				handlerInstrs: c.UserHandlerInstrs,
 			}, nil
-		case machine.RefillPFSM:
-			return &PFSM{
-				meta:   md,
-				table:  PFSMHashed,
-				cycles: c.WalkCycles,
-				hashed: pt,
-			}, nil
-		default:
-			return &PowerPC{
-				meta:       md,
-				pt:         pt,
-				walkCycles: c.WalkCycles,
-			}, nil
 		}
+		return &PowerPC{
+			meta:       md,
+			pt:         pt,
+			walkCycles: c.WalkCycles,
+		}, nil
 	case machine.PTClustered:
 		pt, err := ptable.NewClustered(phys)
 		if err != nil {

@@ -2,7 +2,6 @@ package mmu
 
 import (
 	"repro/internal/addr"
-	"repro/internal/mem"
 	"repro/internal/ptable"
 	"repro/internal/stats"
 )
@@ -18,23 +17,6 @@ type Clustered struct {
 	pt            *ptable.Clustered
 	handlerInstrs int
 }
-
-// NewClustered builds the walker over a fresh clustered table in phys
-// with the PA-RISC handler length and an unpartitioned, tagged TLB.
-func NewClustered(phys *mem.Phys) (*Clustered, error) {
-	pt, err := ptable.NewClustered(phys)
-	if err != nil {
-		return nil, err
-	}
-	return &Clustered{
-		meta:          meta{name: ptable.NameClustered, usesTLB: true, tagged: true},
-		pt:            pt,
-		handlerInstrs: PARISCHandlerInstrs,
-	}, nil
-}
-
-// Table exposes the clustered table for chain statistics.
-func (c *Clustered) Table() *ptable.Clustered { return c.pt }
 
 // HandleMiss hashes the faulting cluster and walks the chain; chain
 // element loads are charged like PA-RISC's.

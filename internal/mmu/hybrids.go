@@ -3,7 +3,6 @@ package mmu
 import (
 	"repro/internal/addr"
 	"repro/internal/cache"
-	"repro/internal/mem"
 	"repro/internal/ptable"
 	"repro/internal/stats"
 )
@@ -13,23 +12,20 @@ import (
 // for the costs of other VM organizations, such as an inverted page table
 // with a hardware-managed TLB, a MIPS-style page table with a
 // hardware-managed TLB, or a system with no TLB but a hardware-walked
-// page table (as in SPUR)") and the programmable finite state machine its
+// page table (as in SPUR)"). The programmable finite state machine its
 // conclusions recommend ("A likely future memory-management design would
 // use a programmable finite state machine that walks the page table in a
-// user-defined manner").
-
-// Organization names for the hybrid walkers.
-const (
-	NameHWMIPS  = "hw-mips"
-	NamePowerPC = "powerpc"
-	NameSPUR    = "spur"
-	NamePFSM    = "pfsm"
-)
+// user-defined manner") needs no walker of its own: its walk is the
+// hardware walk of whichever table it is programmed for, at a
+// software-defined cycle cost, so Build gives a pfsm refill the Intel or
+// PowerPC walker.
 
 // HWMIPS is a MIPS-style bottom-up hierarchical table walked by a
 // hardware state machine: no interrupt, no instruction-cache footprint,
 // but the UPTE reference still translates through the (partitioned)
 // D-TLB, falling back to a physical root-table access on a nested miss.
+// The hardware still wires UPT mappings into protected slots, as the
+// MIPS convention requires.
 type HWMIPS struct {
 	meta
 	pt *ptable.Ultrix
@@ -37,24 +33,6 @@ type HWMIPS struct {
 	// mappedCycles the cheaper cost when the UPT page is TLB-resident.
 	walkCycles   int
 	mappedCycles int
-}
-
-// NewHWMIPS builds the walker over a fresh Ultrix-style table in phys:
-// four cycles when the UPT page is already mapped, seven (the Intel
-// figure) when the root level must be consulted. The hardware still
-// wires UPT mappings into protected slots, as the MIPS convention
-// requires.
-func NewHWMIPS(phys *mem.Phys) (*HWMIPS, error) {
-	pt, err := ptable.NewUltrix(phys)
-	if err != nil {
-		return nil, err
-	}
-	return &HWMIPS{
-		meta:         meta{name: NameHWMIPS, usesTLB: true, protected: 16, tagged: true},
-		pt:           pt,
-		walkCycles:   IntelWalkCycles,
-		mappedCycles: 4,
-	}, nil
 }
 
 // HandleMiss performs the hardware bottom-up walk.
@@ -83,22 +61,6 @@ type PowerPC struct {
 	walkCycles int
 }
 
-// NewPowerPC builds the walker over a fresh hashed table in phys.
-func NewPowerPC(phys *mem.Phys) (*PowerPC, error) {
-	pt, err := ptable.NewPARISC(phys)
-	if err != nil {
-		return nil, err
-	}
-	return &PowerPC{
-		meta:       meta{name: NamePowerPC, usesTLB: true, tagged: true},
-		pt:         pt,
-		walkCycles: IntelWalkCycles,
-	}, nil
-}
-
-// Table exposes the hashed table for chain statistics.
-func (p *PowerPC) Table() *ptable.PARISC { return p.pt }
-
 // HandleMiss hashes in hardware and walks the chain with physical loads.
 func (p *PowerPC) HandleMiss(m Machine, asid uint8, va uint64, instr bool) {
 	m.ExecHandler(stats.UHandler, 0, p.walkCycles, false)
@@ -121,21 +83,6 @@ type SPUR struct {
 	rootCycles int
 }
 
-// NewSPUR builds the walker over a fresh disjunct table in phys.
-// ASIDsInTLB is vacuously true (ASID-tagged virtual caches).
-func NewSPUR(phys *mem.Phys) (*SPUR, error) {
-	pt, err := ptable.NewNoTLB(phys)
-	if err != nil {
-		return nil, err
-	}
-	return &SPUR{
-		meta:       meta{name: NameSPUR, usesTLB: false, tagged: true},
-		pt:         pt,
-		walkCycles: IntelWalkCycles,
-		rootCycles: 4,
-	}, nil
-}
-
 // HandleMiss performs the hardware in-cache translation.
 func (s *SPUR) HandleMiss(m Machine, asid uint8, va uint64, instr bool) {
 	m.ExecHandler(stats.UHandler, 0, s.walkCycles, false)
@@ -143,68 +90,4 @@ func (s *SPUR) HandleMiss(m Machine, asid uint8, va uint64, instr bool) {
 		m.ExecHandler(stats.RHandler, 0, s.rootCycles, false)
 		m.PTELoad(s.pt.RPTEAddr(asid, va), stats.RPTEL2, stats.RPTEMem)
 	}
-}
-
-// PFSMTable selects the page-table format a programmable FSM walks.
-type PFSMTable int
-
-// PFSM table formats.
-const (
-	// PFSMHierarchical walks an x86-style two-tier physical table.
-	PFSMHierarchical PFSMTable = iota
-	// PFSMHashed walks a PA-RISC-style hashed inverted table.
-	PFSMHashed
-)
-
-// PFSM is the programmable finite state machine of the paper's
-// conclusions: a hardware walker whose table format and per-walk cycle
-// cost are software-defined, giving "the flexibility of alternate page
-// table organizations … and yet no interrupt or I-cache overhead".
-// TLB entries are tagged: a from-scratch design would tag its entries.
-type PFSM struct {
-	meta
-	table  PFSMTable
-	cycles int
-	hier   *ptable.Intel
-	hashed *ptable.PARISC
-}
-
-// NewPFSM builds a programmable walker for the given table format at the
-// given per-walk microcode cost (cycles <= 0 defaults to the Intel
-// seven).
-func NewPFSM(phys *mem.Phys, table PFSMTable, cycles int) (*PFSM, error) {
-	if cycles <= 0 {
-		cycles = IntelWalkCycles
-	}
-	p := &PFSM{
-		meta:   meta{name: NamePFSM, usesTLB: true, tagged: true},
-		table:  table,
-		cycles: cycles,
-	}
-	var err error
-	switch table {
-	case PFSMHashed:
-		p.hashed, err = ptable.NewPARISC(phys)
-	default:
-		p.hier, err = ptable.NewIntel(phys)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// HandleMiss runs the microcoded walk for the configured format.
-func (p *PFSM) HandleMiss(m Machine, asid uint8, va uint64, instr bool) {
-	m.ExecHandler(stats.UHandler, 0, p.cycles, false)
-	switch p.table {
-	case PFSMHashed:
-		for _, a := range p.hashed.ChainAddrs(asid, va) {
-			m.PTELoad(a, stats.UPTEL2, stats.UPTEMem)
-		}
-	default:
-		m.PTELoad(p.hier.RPTEAddr(asid, va), stats.RPTEL2, stats.RPTEMem)
-		m.PTELoad(p.hier.UPTEAddr(asid, va), stats.UPTEL2, stats.UPTEMem)
-	}
-	insertUser(m, asid, va, instr)
 }

@@ -1,7 +1,8 @@
 // Package mmu implements the paper's TLB-refill mechanisms: one walker
 // per memory-management organization (Table 4), plus the hybrid
-// organizations the paper interpolates in §4.2 and the programmable
-// finite-state-machine walker it proposes in its conclusions.
+// organizations the paper interpolates in §4.2. Build makes every walker
+// from a machine.Spec; the programmable finite-state machine the paper
+// proposes in its conclusions is a spec, not a walker of its own.
 //
 // A walker is invoked by the simulation engine when a reference cannot be
 // translated (a TLB miss for the TLB-based organizations; a user-level L2
@@ -78,29 +79,6 @@ type Refill interface {
 	HandleMiss(m Machine, asid uint8, va uint64, instr bool)
 }
 
-// Handler lengths and costs (paper Table 4 and §3.1).
-const (
-	// UserHandlerInstrs is the user-level TLB-miss handler length for
-	// the MIPS-style software-managed TLBs and the NOTLB cache-miss
-	// handler ("The user-level handler is ten instructions long").
-	UserHandlerInstrs = 10
-	// KernelHandlerInstrs is the nested handler length ("the
-	// kernel-level handler is twenty").
-	KernelHandlerInstrs = 20
-	// MachRootHandlerInstrs is MACH's deliberately expensive root path
-	// ("Root-level misses take a long path of 500 instructions").
-	MachRootHandlerInstrs = 500
-	// MachRootAdminLoads is the number of additional administrative
-	// loads the MACH root handler performs.
-	MachRootAdminLoads = 10
-	// PARISCHandlerInstrs is the hashed-table handler length ("The
-	// handler is twenty instructions long").
-	PARISCHandlerInstrs = 20
-	// IntelWalkCycles is the x86 hardware state machine's cost ("The
-	// simulated TLB-miss handler takes seven cycles to execute").
-	IntelWalkCycles = 7
-)
-
 // Handler code placement: distinct page-aligned code segments per handler
 // (paper: "the beginning of each section of handler code is aligned on a
 // page boundary"). Indices into addr.HandlerPC.
@@ -117,9 +95,8 @@ const (
 )
 
 // meta carries the organization metadata every walker reports through the
-// Refill interface. The NewXxx constructors fill it with the paper's
-// values; Build fills it from a machine.Spec, which is how one walker
-// implementation serves many declared machines.
+// Refill interface. Build fills it from a machine.Spec, which is how one
+// walker implementation serves many declared machines.
 type meta struct {
 	name      string
 	usesTLB   bool
@@ -139,7 +116,22 @@ func (m meta) ProtectedSlots() int { return m.protected }
 // ASIDsInTLB reports whether TLB entries carry address-space ids.
 func (m meta) ASIDsInTLB() bool { return m.tagged }
 
-// inserter routes the final translation to the right TLB.
+// AvgChainLength returns the average collision-chain length of the
+// hashed page table r walks, or 0 when r walks no hashed table.
+func AvgChainLength(r Refill) float64 {
+	switch w := r.(type) {
+	case *PARISC:
+		return w.pt.AverageChainLength()
+	case *PowerPC:
+		return w.pt.AverageChainLength()
+	case *Clustered:
+		return w.pt.AverageChainLength()
+	default:
+		return 0
+	}
+}
+
+// insertUser routes the final translation to the right TLB.
 func insertUser(m Machine, asid uint8, va uint64, instr bool) {
 	if instr {
 		m.ITLBInsert(asid, addr.VPN(va))

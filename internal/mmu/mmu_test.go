@@ -1,20 +1,39 @@
 package mmu
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
+	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/stats"
 )
 
-// must unwraps a constructor's result; test memories are sized to fit.
-func must[T any](v T, err error) T {
+// build makes the bundled machine's walker over a fresh memory, the way
+// the engine does, and asserts the walker type it dispatches to.
+func build[W Refill](t *testing.T, name string) W {
+	t.Helper()
+	spec, err := machine.Lookup(name)
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
-	return v
+	return buildSpec[W](t, spec)
+}
+
+// buildSpec is build for a spec that need not be bundled.
+func buildSpec[W Refill](t *testing.T, spec *machine.Spec) W {
+	t.Helper()
+	r, err := Build(spec, mem.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, ok := r.(W)
+	if !ok {
+		t.Fatalf("%s builds a %T", spec.Name, r)
+	}
+	return w
 }
 
 // fakeMachine records every walker action for verification.
@@ -72,8 +91,7 @@ func (f *fakeMachine) Interrupt()                        { f.interrupts++ }
 const testVA = uint64(0x00452120)
 
 func TestUltrixFastPath(t *testing.T) {
-	phys := mem.New(0)
-	u := must(NewUltrix(phys))
+	u := build[*Ultrix](t, "ultrix")
 	f := newFake()
 	// Pre-map the UPT page so the nested handler does not run.
 	upteVPN := (addr.UltrixUPTBase + addr.VPN(testVA)*4) >> addr.PageShift
@@ -102,7 +120,7 @@ func TestUltrixFastPath(t *testing.T) {
 }
 
 func TestUltrixNestedRootPath(t *testing.T) {
-	u := must(NewUltrix(mem.New(0)))
+	u := build[*Ultrix](t, "ultrix")
 	f := newFake() // UPT page not resident -> nested miss
 
 	u.HandleMiss(f, 0, testVA, true)
@@ -137,7 +155,7 @@ func TestUltrixNestedRootPath(t *testing.T) {
 }
 
 func TestMachThreeLevelPath(t *testing.T) {
-	mc := must(NewMach(mem.New(0)))
+	mc := build[*Mach](t, "mach")
 	f := newFake() // nothing resident: full three-level walk
 
 	mc.HandleMiss(f, 0, testVA, false)
@@ -179,7 +197,7 @@ func TestMachThreeLevelPath(t *testing.T) {
 }
 
 func TestMachFastPath(t *testing.T) {
-	mc := must(NewMach(mem.New(0)))
+	mc := build[*Mach](t, "mach")
 	f := newFake()
 	upteVPN := addr.VPN(mc.pt.UPTEAddr(0, testVA))
 	f.dtlbResident[upteVPN] = true
@@ -195,7 +213,7 @@ func TestMachFastPath(t *testing.T) {
 func TestMachMidPath(t *testing.T) {
 	// UPT page missing but kernel-table page resident: user + kernel
 	// handlers only.
-	mc := must(NewMach(mem.New(0)))
+	mc := build[*Mach](t, "mach")
 	f := newFake()
 	kpteVPN := addr.VPN(mc.pt.KPTEAddr(mc.pt.UPTEAddr(0, testVA)))
 	f.dtlbResident[kpteVPN] = true
@@ -211,7 +229,7 @@ func TestMachMidPath(t *testing.T) {
 }
 
 func TestIntelWalk(t *testing.T) {
-	i := must(NewIntel(mem.New(0)))
+	i := build[*Intel](t, "intel")
 	f := newFake()
 
 	i.HandleMiss(f, 0, testVA, false)
@@ -239,7 +257,7 @@ func TestIntelWalk(t *testing.T) {
 }
 
 func TestIntelRootReferencedOnEveryMiss(t *testing.T) {
-	i := must(NewIntel(mem.New(0)))
+	i := build[*Intel](t, "intel")
 	f := newFake()
 	i.HandleMiss(f, 0, testVA, false)
 	i.HandleMiss(f, 0, testVA+addr.PageSize, false)
@@ -255,7 +273,7 @@ func TestIntelRootReferencedOnEveryMiss(t *testing.T) {
 }
 
 func TestPARISCWalk(t *testing.T) {
-	p := must(NewPARISC(mem.New(0)))
+	p := build[*PARISC](t, "pa-risc")
 	f := newFake()
 
 	p.HandleMiss(f, 0, testVA, true)
@@ -278,7 +296,7 @@ func TestPARISCWalk(t *testing.T) {
 }
 
 func TestPARISCCollisionCostsExtraLoads(t *testing.T) {
-	p := must(NewPARISC(mem.New(0)))
+	p := build[*PARISC](t, "pa-risc")
 	// Find a colliding pair.
 	va1 := uint64(0x10000)
 	h := p.pt.Hash(0, va1)
@@ -298,7 +316,7 @@ func TestPARISCCollisionCostsExtraLoads(t *testing.T) {
 }
 
 func TestNoTLBFastPath(t *testing.T) {
-	n := must(NewNoTLB(mem.New(0)))
+	n := build[*NoTLB](t, "notlb")
 	f := newFake()
 	f.loadLevel = cache.L1Hit // UPTE resident in cache
 
@@ -316,7 +334,7 @@ func TestNoTLBFastPath(t *testing.T) {
 }
 
 func TestNoTLBNestedRootOnUPTEL2Miss(t *testing.T) {
-	n := must(NewNoTLB(mem.New(0)))
+	n := build[*NoTLB](t, "notlb")
 	f := newFake()
 	f.loadLevel = cache.Memory // every PTE load misses L2
 
@@ -334,7 +352,7 @@ func TestNoTLBNestedRootOnUPTEL2Miss(t *testing.T) {
 }
 
 func TestHWMIPSPaths(t *testing.T) {
-	h := must(NewHWMIPS(mem.New(0)))
+	h := build[*HWMIPS](t, "hw-mips")
 	f := newFake()
 	h.HandleMiss(f, 0, testVA, false) // root path (UPT not mapped)
 	if f.interrupts != 0 {
@@ -358,7 +376,7 @@ func TestHWMIPSPaths(t *testing.T) {
 }
 
 func TestPowerPCWalk(t *testing.T) {
-	p := must(NewPowerPC(mem.New(0)))
+	p := build[*PowerPC](t, "powerpc")
 	f := newFake()
 	p.HandleMiss(f, 0, testVA, false)
 	if f.interrupts != 0 {
@@ -370,13 +388,13 @@ func TestPowerPCWalk(t *testing.T) {
 	if len(f.loads) != 1 || !addr.IsUnmapped(f.loads[0].a) {
 		t.Fatalf("loads = %+v, want one physical hashed-table load", f.loads)
 	}
-	if p.Table().MappedPages() != 1 {
+	if p.pt.MappedPages() != 1 {
 		t.Fatal("hashed table did not install the mapping")
 	}
 }
 
 func TestSPURPaths(t *testing.T) {
-	s := must(NewSPUR(mem.New(0)))
+	s := build[*SPUR](t, "spur")
 	f := newFake()
 	f.loadLevel = cache.Memory
 	s.HandleMiss(f, 0, testVA, false)
@@ -394,8 +412,10 @@ func TestSPURPaths(t *testing.T) {
 	}
 }
 
+// The programmable FSM is a spec, not a walker: programmed for a table,
+// it builds that table's hardware walker at the spec's cycle cost.
 func TestPFSMHierarchical(t *testing.T) {
-	p := must(NewPFSM(mem.New(0), PFSMHierarchical, 0))
+	p := build[*Intel](t, "pfsm-hier")
 	f := newFake()
 	p.HandleMiss(f, 0, testVA, false)
 	if len(f.execs) != 1 || f.execs[0].n != 7 {
@@ -407,7 +427,12 @@ func TestPFSMHierarchical(t *testing.T) {
 }
 
 func TestPFSMHashedCustomCycles(t *testing.T) {
-	p := must(NewPFSM(mem.New(0), PFSMHashed, 12))
+	spec, err := machine.Lookup("pfsm-hashed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Costs.WalkCycles = 12
+	p := buildSpec[*PowerPC](t, spec)
 	f := newFake()
 	p.HandleMiss(f, 0, testVA, true)
 	if f.execs[0].n != 12 {
@@ -421,40 +446,53 @@ func TestPFSMHashedCustomCycles(t *testing.T) {
 	}
 }
 
+// TestRefillMetadata pins, for every bundled machine, the walker Build
+// dispatches to and the metadata it reports.
 func TestRefillMetadata(t *testing.T) {
-	cases := []struct {
-		r       Refill
-		name    string
+	type meta struct {
+		walker  string
 		usesTLB bool
 		prot    int
-	}{
-		{must(NewUltrix(mem.New(0))), "ultrix", true, 16},
-		{must(NewMach(mem.New(0))), "mach", true, 16},
-		{must(NewIntel(mem.New(0))), "intel", true, 0},
-		{must(NewPARISC(mem.New(0))), "pa-risc", true, 0},
-		{must(NewNoTLB(mem.New(0))), "notlb", false, 0},
-		{must(NewHWMIPS(mem.New(0))), "hw-mips", true, 16},
-		{must(NewPowerPC(mem.New(0))), "powerpc", true, 0},
-		{must(NewSPUR(mem.New(0))), "spur", false, 0},
-		{must(NewPFSM(mem.New(0), PFSMHashed, 0)), "pfsm", true, 0},
+		tagged  bool
 	}
-	for _, c := range cases {
-		if c.r.Name() != c.name {
-			t.Errorf("Name = %q, want %q", c.r.Name(), c.name)
-		}
-		if c.r.UsesTLB() != c.usesTLB {
-			t.Errorf("%s UsesTLB = %v", c.name, c.r.UsesTLB())
-		}
-		if c.r.ProtectedSlots() != c.prot {
-			t.Errorf("%s ProtectedSlots = %d, want %d", c.name, c.r.ProtectedSlots(), c.prot)
-		}
+	want := map[string]meta{
+		"ultrix":      {"*mmu.Ultrix", true, 16, true},
+		"mach":        {"*mmu.Mach", true, 16, true},
+		"intel":       {"*mmu.Intel", true, 0, false},
+		"pa-risc":     {"*mmu.PARISC", true, 0, true},
+		"notlb":       {"*mmu.NoTLB", false, 0, true},
+		"base":        {"<nil>", false, 0, false},
+		"hw-mips":     {"*mmu.HWMIPS", true, 16, true},
+		"powerpc":     {"*mmu.PowerPC", true, 0, true},
+		"spur":        {"*mmu.SPUR", false, 0, true},
+		"pfsm-hier":   {"*mmu.Intel", true, 0, true},
+		"pfsm-hashed": {"*mmu.PowerPC", true, 0, true},
+		"clustered":   {"*mmu.Clustered", true, 0, true},
+		"l2tlb":       {"*mmu.Ultrix", true, 16, true},
 	}
-}
-
-func TestHandlerCostsMatchTable4(t *testing.T) {
-	if UserHandlerInstrs != 10 || KernelHandlerInstrs != 20 ||
-		MachRootHandlerInstrs != 500 || MachRootAdminLoads != 10 ||
-		PARISCHandlerInstrs != 20 || IntelWalkCycles != 7 {
-		t.Fatal("handler cost constants diverge from paper Table 4")
+	bundled := machine.Bundled()
+	if len(bundled) != len(want) {
+		t.Errorf("%d bundled machines, want %d", len(bundled), len(want))
+	}
+	for _, spec := range bundled {
+		w, ok := want[spec.Name]
+		if !ok {
+			t.Errorf("bundled machine %q has no expected metadata", spec.Name)
+			continue
+		}
+		r, err := Build(spec, mem.New(0))
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		if got := fmt.Sprintf("%T", r); got != w.walker {
+			t.Errorf("%s builds a %s, want %s", spec.Name, got, w.walker)
+		}
+		if r == nil {
+			continue
+		}
+		got := meta{w.walker, r.UsesTLB(), r.ProtectedSlots(), r.ASIDsInTLB()}
+		if r.Name() != spec.Name || got != w {
+			t.Errorf("%s reports %q %+v, want %+v", spec.Name, r.Name(), got, w)
+		}
 	}
 }

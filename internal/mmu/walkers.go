@@ -14,28 +14,12 @@ import (
 // load itself misses the D-TLB, a twenty-instruction root handler loads
 // the root PTE from the wired physical root table and installs the
 // user-page-table mapping in a protected TLB slot. The handler lengths
-// are parameters so a declared machine can scale them; NewUltrix uses
-// the paper's.
+// are parameters so a declared machine can scale them.
 type Ultrix struct {
 	meta
 	pt         *ptable.Ultrix
 	userInstrs int
 	rootInstrs int
-}
-
-// NewUltrix builds the walker over a fresh page table in phys with the
-// paper's handler lengths and the MIPS-style 16-slot protected partition.
-func NewUltrix(phys *mem.Phys) (*Ultrix, error) {
-	pt, err := ptable.NewUltrix(phys)
-	if err != nil {
-		return nil, err
-	}
-	return &Ultrix{
-		meta:       meta{name: ptable.NameUltrix, usesTLB: true, protected: 16, tagged: true},
-		pt:         pt,
-		userInstrs: UserHandlerInstrs,
-		rootInstrs: KernelHandlerInstrs,
-	}, nil
 }
 
 // HandleMiss implements the walk_page_table pseudocode of paper §3.1.
@@ -72,24 +56,6 @@ type Mach struct {
 	kernelInstrs int
 	rootInstrs   int
 	adminLoads   int
-}
-
-// NewMach builds the walker over a fresh page table in phys with the
-// paper's handler lengths.
-func NewMach(phys *mem.Phys) (*Mach, error) {
-	pt, admin, err := newMachTables(phys)
-	if err != nil {
-		return nil, err
-	}
-	return &Mach{
-		meta:         meta{name: ptable.NameMach, usesTLB: true, protected: 16, tagged: true},
-		pt:           pt,
-		admin:        admin,
-		userInstrs:   UserHandlerInstrs,
-		kernelInstrs: KernelHandlerInstrs,
-		rootInstrs:   MachRootHandlerInstrs,
-		adminLoads:   MachRootAdminLoads,
-	}, nil
 }
 
 // newMachTables reserves the Mach page table and the root handler's
@@ -150,20 +116,6 @@ type Intel struct {
 	walkCycles int
 }
 
-// NewIntel builds the walker over a fresh page table in phys with the
-// paper's seven-cycle walk and an untagged (flush-on-switch) TLB.
-func NewIntel(phys *mem.Phys) (*Intel, error) {
-	pt, err := ptable.NewIntel(phys)
-	if err != nil {
-		return nil, err
-	}
-	return &Intel{
-		meta:       meta{name: ptable.NameIntel, usesTLB: true, tagged: false},
-		pt:         pt,
-		walkCycles: IntelWalkCycles,
-	}, nil
-}
-
 // HandleMiss performs the hardware walk with two physical PTE loads.
 func (i *Intel) HandleMiss(m Machine, asid uint8, va uint64, instr bool) {
 	m.ExecHandler(stats.UHandler, 0, i.walkCycles, false)
@@ -182,23 +134,6 @@ type PARISC struct {
 	pt            *ptable.PARISC
 	handlerInstrs int
 }
-
-// NewPARISC builds the walker over a fresh hashed table in phys with the
-// paper's twenty-instruction handler.
-func NewPARISC(phys *mem.Phys) (*PARISC, error) {
-	pt, err := ptable.NewPARISC(phys)
-	if err != nil {
-		return nil, err
-	}
-	return &PARISC{
-		meta:          meta{name: ptable.NamePARISC, usesTLB: true, tagged: true},
-		pt:            pt,
-		handlerInstrs: PARISCHandlerInstrs,
-	}, nil
-}
-
-// Table exposes the hashed table for chain-length statistics.
-func (p *PARISC) Table() *ptable.PARISC { return p.pt }
 
 // HandleMiss hashes the address and walks the chain; every chain element
 // is a 16-byte PTE load charged to the upte components ("variable # PTE
@@ -222,23 +157,6 @@ type NoTLB struct {
 	pt         *ptable.NoTLB
 	userInstrs int
 	rootInstrs int
-}
-
-// NewNoTLB builds the walker over a fresh disjunct table in phys with the
-// paper's handler lengths. ASIDsInTLB is vacuously true: the virtual
-// caches carry ASIDs in their tags (the softvm assumption), so nothing
-// is flushed on a switch.
-func NewNoTLB(phys *mem.Phys) (*NoTLB, error) {
-	pt, err := ptable.NewNoTLB(phys)
-	if err != nil {
-		return nil, err
-	}
-	return &NoTLB{
-		meta:       meta{name: ptable.NameNoTLB, usesTLB: false, tagged: true},
-		pt:         pt,
-		userInstrs: UserHandlerInstrs,
-		rootInstrs: KernelHandlerInstrs,
-	}, nil
 }
 
 // HandleMiss runs the ten-instruction cache-miss handler; the UPTE load

@@ -108,6 +108,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	rc.EnableFullDuplex()            //nolint:errcheck // HTTP/2 is duplex without it
 	rc.SetReadDeadline(time.Time{})  //nolint:errcheck
 	rc.SetWriteDeadline(time.Time{}) //nolint:errcheck
+	// Every return path reads the upload to EOF first. A full-duplex
+	// handler that returns with the body unread leaves net/http's
+	// finishing read racing the next keep-alive request's read on the
+	// same connection ("invalid concurrent Body.Read call").
+	defer io.Copy(io.Discard, body) //nolint:errcheck
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)

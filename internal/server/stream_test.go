@@ -6,9 +6,11 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -209,6 +211,56 @@ func TestStreamTruncatedUploadReportsErrorEvent(t *testing.T) {
 	last := evs[len(evs)-1]
 	if last.Type != api.StreamError || last.Category != "trace" {
 		t.Fatalf("terminal event %+v, want error/trace", last)
+	}
+}
+
+// TestStreamLeavesConnectionClean runs completed and corrupt-body
+// streams over keep-alive connections and asserts net/http
+// logged no "panic serving": a handler that returns with the upload
+// unread makes the connection's finishing read collide with its next
+// request read.
+func TestStreamLeavesConnectionClean(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewUnstartedServer(s.Handler())
+	// log.Logger serializes the connections' writes; Close orders them
+	// before the read below.
+	var errLog bytes.Buffer
+	ts.Config.ErrorLog = log.New(&errLog, "", 0)
+	ts.Start()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx) //nolint:errcheck
+	}()
+
+	tr := testTrace(t, 10_000)
+	cfg := sim.Default(sim.VMUltrix)
+	good := streamBody(t, cfg, tr)
+	corrupt := append([]byte(nil), good...)
+	corrupt[len(corrupt)/2] ^= 0x40
+	// The collision is a race, so the pair runs a few times.
+	for range 8 {
+		for _, c := range []struct {
+			name string
+			body []byte
+			want string
+		}{{"complete", good, api.StreamResult}, {"corrupt", corrupt, api.StreamError}} {
+			resp, err := ts.Client().Post(ts.URL+"/v1/stream", "application/octet-stream", bytes.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs := readEvents(t, resp.Body)
+			resp.Body.Close()
+			if last := evs[len(evs)-1]; last.Type != c.want {
+				t.Fatalf("%s stream ended with %+v, want %s", c.name, last, c.want)
+			}
+		}
+	}
+	// Close waits for every connection to finish, so a panic in any of
+	// them has been logged by the time it returns.
+	ts.Close()
+	if logged := errLog.String(); strings.Contains(logged, "panic serving") {
+		t.Fatalf("server logged a panic:\n%s", logged)
 	}
 }
 

@@ -476,21 +476,6 @@ func (e *Engine) Snapshot() stats.Counters {
 	return c
 }
 
-// chainStats extracts the average collision-chain length from hashed-
-// table organizations; 0 otherwise.
-func chainStats(r mmu.Refill) float64 {
-	switch w := r.(type) {
-	case *mmu.PARISC:
-		return w.Table().AverageChainLength()
-	case *mmu.PowerPC:
-		return w.Table().AverageChainLength()
-	case *mmu.Clustered:
-		return w.Table().AverageChainLength()
-	default:
-		return 0
-	}
-}
-
 // --- mmu.Machine implementation -------------------------------------
 
 // ExecHandler charges the handler's base cost and, for software handlers,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
+	"repro/internal/mmu"
 	"repro/internal/simerr"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -143,7 +144,7 @@ func (d *driver) Finish(workload string) *Result {
 	res := &Result{
 		Config:         d.cfg,
 		Workload:       workload,
-		AvgChainLength: chainStats(d.cores[0].refill),
+		AvgChainLength: mmu.AvgChainLength(d.cores[0].refill),
 		Timeline:       d.samples,
 	}
 	if !d.perCore {

@@ -211,6 +211,40 @@ func TestHardwareSchemesNeverTouchICacheOrInterrupt(t *testing.T) {
 	}
 }
 
+// TestPFSMHashedMatchesPowerPC pins the §5 programmable FSM programmed
+// for the hashed table as the PowerPC walk it is: the two bundled specs
+// differ only in the refill-kind label, so every counter, the chain
+// statistic and the final machine state must agree.
+func TestPFSMHashedMatchesPowerPC(t *testing.T) {
+	refs := tr(t, "gcc", 40_000)
+	type outcome struct {
+		res    *Result
+		digest Digest
+	}
+	runVM := func(vm string) outcome {
+		e, err := NewEngine(Default(vm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{res, e.Digest()}
+	}
+	pfsm, ppc := runVM(VMPFSMHashed), runVM(VMPowerPC)
+	if pfsm.res.Counters != ppc.res.Counters {
+		t.Errorf("counters diverge:\npfsm-hashed: %+v\npowerpc:     %+v", pfsm.res.Counters, ppc.res.Counters)
+	}
+	if ppc.res.AvgChainLength <= 0 || pfsm.res.AvgChainLength != ppc.res.AvgChainLength {
+		t.Errorf("avg chain length: pfsm-hashed %v, powerpc %v; want equal and positive",
+			pfsm.res.AvgChainLength, ppc.res.AvgChainLength)
+	}
+	if pfsm.digest != ppc.digest {
+		t.Errorf("machine state diverges:\npfsm-hashed: %+v\npowerpc:     %+v", pfsm.digest, ppc.digest)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	a := run(t, Default(VMUltrix), "gcc", 40000)
 	b := run(t, Default(VMUltrix), "gcc", 40000)
