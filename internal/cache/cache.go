@@ -16,6 +16,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/addr"
 )
@@ -120,15 +121,16 @@ func (c *Cache) init(cfg Config) {
 	nLines := cfg.SizeBytes / cfg.LineBytes
 	nSets := nLines / cfg.Assoc
 	lineShift, setMask := addr.IndexShiftMask(uint64(cfg.LineBytes), uint64(nSets))
+	s := takeStore(cfg)
 	*c = Cache{
 		cfg:       cfg,
 		lineShift: lineShift,
 		setMask:   setMask,
 		assoc:     cfg.Assoc,
-		lines:     make([]uint64, nLines),
+		lines:     s.lines,
+		age:       s.age,
 	}
 	if cfg.Assoc > 1 {
-		c.age = make([]uint64, nLines)
 		c.fast = []uint64{0}
 		c.fastMask = 0
 	} else {
@@ -230,6 +232,63 @@ func (c *Cache) Flush() {
 	for i := range c.age {
 		c.age[i] = 0
 	}
+}
+
+// reset returns the cache to exactly the state New builds: every line
+// invalid, LRU ages and the LRU clock at zero, statistics cleared.
+func (c *Cache) reset() {
+	clear(c.lines)
+	clear(c.age)
+	c.tick = 0
+	c.ResetStats()
+}
+
+// store is a cache's backing arrays: the line tags and, for the
+// set-associative ablation, the LRU ages.
+type store struct{ lines, age []uint64 }
+
+// stores recycles the arrays of released caches, one sync.Pool per
+// (normalized) geometry. A sweep worker builds and drops a hierarchy
+// pair per point; recycling keeps those arrays from accumulating as
+// garbage between collections. Pooled arrays are always all-zero.
+var stores struct {
+	sync.Mutex
+	m map[Config]*sync.Pool
+}
+
+// storePool returns the pool for a normalized geometry.
+func storePool(cfg Config) *sync.Pool {
+	stores.Lock()
+	defer stores.Unlock()
+	p := stores.m[cfg]
+	if p == nil {
+		if stores.m == nil {
+			stores.m = make(map[Config]*sync.Pool)
+		}
+		nLines := cfg.SizeBytes / cfg.LineBytes
+		assoc := cfg.Assoc
+		p = &sync.Pool{New: func() any {
+			s := &store{lines: make([]uint64, nLines)}
+			if assoc > 1 {
+				s.age = make([]uint64, nLines)
+			}
+			return s
+		}}
+		stores.m[cfg] = p
+	}
+	return p
+}
+
+// takeStore returns zeroed arrays for a normalized geometry.
+func takeStore(cfg Config) *store { return storePool(cfg).Get().(*store) }
+
+// release resets the cache and hands its arrays back to the pool. The
+// cache must not be used afterwards; its array fields are cleared so a
+// stray access faults instead of corrupting a recycled array.
+func (c *Cache) release() {
+	c.reset()
+	storePool(c.cfg).Put(&store{lines: c.lines, age: c.age})
+	c.lines, c.age, c.fast = nil, nil, nil
 }
 
 // Stats returns the accumulated statistics.

@@ -307,6 +307,58 @@ func TestHierarchyFlushAndReset(t *testing.T) {
 	}
 }
 
+// TestResetMatchesFresh: a used hierarchy that is Reset — and one built
+// over arrays a released hierarchy returned to the pool — replays a
+// random access sequence exactly as a freshly built one does, level by
+// level, with equal statistics and LRU clocks, direct-mapped and
+// set-associative alike.
+func TestResetMatchesFresh(t *testing.T) {
+	geoms := [][2]Config{
+		{{SizeBytes: 1 << 10, LineBytes: 16}, {SizeBytes: 16 << 10, LineBytes: 64}},
+		{{SizeBytes: 2 << 10, LineBytes: 32, Assoc: 4}, {SizeBytes: 32 << 10, LineBytes: 64, Assoc: 4}},
+	}
+	for _, g := range geoms {
+		addrs := func(seed uint64) []uint64 {
+			r := rng.New(seed)
+			out := make([]uint64, 20_000)
+			for i := range out {
+				out[i] = r.Uint64n(1 << 18)
+			}
+			return out
+		}
+		used := NewHierarchy(g[0], g[1])
+		for _, a := range addrs(1) {
+			used.Access(a)
+		}
+		used.Reset()
+		released := NewHierarchy(g[0], g[1])
+		for _, a := range addrs(2) {
+			released.Access(a)
+		}
+		released.Release()
+		recycled := NewHierarchy(g[0], g[1])
+		fresh := NewHierarchy(g[0], g[1])
+		for i, a := range addrs(3) {
+			want := fresh.Access(a)
+			if got := used.Access(a); got != want {
+				t.Fatalf("%+v: access %d: reset hierarchy %v, fresh %v", g, i, got, want)
+			}
+			if got := recycled.Access(a); got != want {
+				t.Fatalf("%+v: access %d: recycled hierarchy %v, fresh %v", g, i, got, want)
+			}
+		}
+		for _, h := range []*Hierarchy{used, recycled} {
+			for lvl, c := range []*Cache{h.L1(), h.L2()} {
+				f := []*Cache{fresh.L1(), fresh.L2()}[lvl]
+				if c.Stats() != f.Stats() || c.tick != f.tick || c.Resident() != f.Resident() {
+					t.Fatalf("%+v: level %d: stats %+v tick %d resident %d, fresh %+v %d %d", g, lvl+1,
+						c.Stats(), c.tick, c.Resident(), f.Stats(), f.tick, f.Resident())
+				}
+			}
+		}
+	}
+}
+
 func TestLevelString(t *testing.T) {
 	cases := map[Level]string{L1Hit: "L1", L2Hit: "L2", Memory: "MEM", Level(0): "invalid"}
 	for l, want := range cases {

@@ -42,7 +42,9 @@ type Hierarchy struct {
 	l2 Cache
 }
 
-// NewHierarchy builds a two-level stack from the two cache configs.
+// NewHierarchy builds a two-level stack from the two cache configs. Its
+// arrays come from the pool Release returns them to, so a worker that
+// builds and releases hierarchies of recurring geometries recycles them.
 func NewHierarchy(l1, l2 Config) *Hierarchy {
 	h := &Hierarchy{}
 	h.l1.init(l1)
@@ -87,8 +89,8 @@ func (h *Hierarchy) Probe(a uint64) Level {
 // whose per-reference loop cannot afford a function call per access. Hit
 // is semantically identical to "Access(a) == L1Hit would have hit L1";
 // on a Hit miss the caller must complete the reference with
-// AccessMissedL1. The probe stays valid for the hierarchy's lifetime —
-// the underlying arrays are never reallocated.
+// AccessMissedL1. The probe stays valid until the hierarchy is released
+// — the underlying arrays are never reallocated.
 type L1Probe struct {
 	lines []uint64
 	shift uint
@@ -155,6 +157,21 @@ func (h *Hierarchy) L2() *Cache { return &h.l2 }
 func (h *Hierarchy) Flush() {
 	h.l1.Flush()
 	h.l2.Flush()
+}
+
+// Reset returns both levels to exactly the state NewHierarchy builds:
+// contents, LRU state and statistics.
+func (h *Hierarchy) Reset() {
+	h.l1.reset()
+	h.l2.reset()
+}
+
+// Release returns the hierarchy's arrays to the geometry-keyed pool
+// NewHierarchy draws from, reset. The hierarchy, and every L1Probe taken
+// from it, must not be used afterwards.
+func (h *Hierarchy) Release() {
+	h.l1.release()
+	h.l2.release()
 }
 
 // ResetStats clears statistics at both levels.

@@ -25,6 +25,7 @@ func (nullRefill) Name() string        { return "null" }
 func (nullRefill) UsesTLB() bool       { return true }
 func (nullRefill) ProtectedSlots() int { return 0 }
 func (nullRefill) ASIDsInTLB() bool    { return true }
+func (nullRefill) CacheBlind() bool    { return true }
 
 func (nullRefill) HandleMiss(m mmu.Machine, asid uint8, va uint64, instr bool) {
 	if instr {

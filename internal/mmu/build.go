@@ -33,6 +33,9 @@ func Build(spec *machine.Spec, phys *mem.Phys) (Refill, error) {
 		name:    spec.Name,
 		usesTLB: spec.UsesTLB(),
 		tagged:  spec.TLB.ASIDTagged,
+		// Only the disjunct-table walkers branch on a PTE load's level:
+		// a UPTE load that misses the L2 nests into the root walk.
+		cacheBlind: spec.PageTable.Kind != machine.PTDisjunctTwoTier,
 	}
 	if l1, ok := spec.L1(); ok {
 		md.protected = l1.ProtectedSlots

@@ -71,6 +71,13 @@ type Refill interface {
 	// without them (the classical x86) must flush their TLBs on every
 	// context switch.
 	ASIDsInTLB() bool
+	// CacheBlind reports whether the walker's calls on the Machine never
+	// depend on the level PTELoad returns: given the same sequence of
+	// misses and TLB answers it makes the same calls whatever the caches
+	// hold. The engine runs the translation of a cache-blind
+	// organization once for many cache geometries (see sim.SimulateGroup);
+	// TestCacheBlindMarking pins the property for every bundled machine.
+	CacheBlind() bool
 	// HandleMiss services a translation miss for virtual address va in
 	// address space asid. For TLB-based organizations it is invoked on
 	// an I-TLB miss (instr=true) or D-TLB miss (instr=false) and must
@@ -98,10 +105,11 @@ const (
 // Refill interface. Build fills it from a machine.Spec, which is how one
 // walker implementation serves many declared machines.
 type meta struct {
-	name      string
-	usesTLB   bool
-	protected int
-	tagged    bool
+	name       string
+	usesTLB    bool
+	protected  int
+	tagged     bool
+	cacheBlind bool
 }
 
 // Name returns the organization name.
@@ -115,6 +123,10 @@ func (m meta) ProtectedSlots() int { return m.protected }
 
 // ASIDsInTLB reports whether TLB entries carry address-space ids.
 func (m meta) ASIDsInTLB() bool { return m.tagged }
+
+// CacheBlind reports whether the walker ignores the level PTELoad
+// returns.
+func (m meta) CacheBlind() bool { return m.cacheBlind }
 
 // AvgChainLength returns the average collision-chain length of the
 // hashed page table r walks, or 0 when r walks no hashed table.

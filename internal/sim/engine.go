@@ -14,8 +14,11 @@
 // implementation: one reference at a time with invariant hooks, used by
 // external checkers such as the differential oracle in internal/check;
 // TestRunMatchesStep and TestMulticoreRunMatchesStep hold the two loops
-// to identical results. See PERFORMANCE.md at the repository root for
-// how to measure either.
+// to identical results. SimulateGroup (group.go) runs many cache
+// geometries of one cache-blind organization over a trace in one
+// translation pass, with results identical to single runs
+// (TestGroupMatchesPerPoint). See PERFORMANCE.md at the repository root
+// for how to measure any of them.
 package sim
 
 import (
@@ -92,6 +95,11 @@ type Engine struct {
 	peers         []*Engine
 	shootdownCost uint64
 	kernErr       error
+
+	// rec is non-nil only on a grouped run's front end (group.go), which
+	// has no caches: ExecHandler and PTELoad record the cache operations
+	// they would perform there instead.
+	rec *opLog
 }
 
 // tlbKey composes the fully-associative TLB lookup key. With tagged TLBs
@@ -182,25 +190,49 @@ func NewEngineWithRefill(cfg Config, refill mmu.Refill) (*Engine, error) {
 
 // assemble wires caches, TLBs, and the walker into an Engine.
 func assemble(cfg Config, phys *mem.Phys, refill mmu.Refill) *Engine {
-	l1cfg := cache.Config{SizeBytes: cfg.L1SizeBytes, LineBytes: cfg.L1LineBytes, Assoc: cfg.L1Assoc}
-	l2cfg := cache.Config{SizeBytes: cfg.L2SizeBytes, LineBytes: cfg.L2LineBytes, Assoc: cfg.L2Assoc}
-	e := &Engine{
-		driver: driver{cfg: cfg},
-		phys:   phys,
-		refill: refill,
-		icache: cache.NewHierarchy(l1cfg, l2cfg),
-	}
-	e.self[0] = e
-	e.cores = e.self[:]
+	e := assembleFront(cfg, phys, refill)
+	e.icache = cfg.newHierarchy()
 	if cfg.UnifiedCaches {
 		// One shared hierarchy: instruction fetches and data references
 		// contend for the same lines.
 		e.dcache = e.icache
 	} else {
-		e.dcache = cache.NewHierarchy(l1cfg, l2cfg)
+		e.dcache = cfg.newHierarchy()
 	}
 	e.iprobe = e.icache.L1Probe()
 	e.dprobe = e.dcache.L1Probe()
+	return e
+}
+
+// newHierarchy builds one side's cache hierarchy.
+func (c Config) newHierarchy() *cache.Hierarchy {
+	return cache.NewHierarchy(
+		cache.Config{SizeBytes: c.L1SizeBytes, LineBytes: c.L1LineBytes, Assoc: c.L1Assoc},
+		cache.Config{SizeBytes: c.L2SizeBytes, LineBytes: c.L2LineBytes, Assoc: c.L2Assoc})
+}
+
+// releaseCaches hands the engine's cache arrays back to the pool they
+// came from once its run is over; the engine must not run again.
+func (e *Engine) releaseCaches() {
+	e.icache.Release()
+	if e.dcache != e.icache {
+		e.dcache.Release()
+	}
+	e.icache, e.dcache = nil, nil
+	e.iprobe, e.dprobe = cache.L1Probe{}, cache.L1Probe{}
+}
+
+// assembleFront wires the TLBs and the walker into an Engine without
+// caches: the whole of a grouped run's front end, and the part of
+// assemble that does not depend on cache geometry.
+func assembleFront(cfg Config, phys *mem.Phys, refill mmu.Refill) *Engine {
+	e := &Engine{
+		driver: driver{cfg: cfg},
+		phys:   phys,
+		refill: refill,
+	}
+	e.self[0] = e
+	e.cores = e.self[:]
 	e.noTLBRefill = refill != nil && !refill.UsesTLB()
 	if refill != nil && refill.UsesTLB() {
 		e.usesTLB = true
@@ -449,10 +481,20 @@ type Digest struct {
 
 // Digest summarizes the current machine state.
 func (e *Engine) Digest() Digest {
-	d := Digest{
-		IL1: e.icache.L1().Resident(), IL2: e.icache.L2().Resident(),
-		DL1: e.dcache.L1().Resident(), DL2: e.dcache.L2().Resident(),
-	}
+	d := e.tlbDigest()
+	d.setCaches(e.icache, e.dcache)
+	return d
+}
+
+// setCaches fills in the cache occupancies.
+func (d *Digest) setCaches(icache, dcache *cache.Hierarchy) {
+	d.IL1, d.IL2 = icache.L1().Resident(), icache.L2().Resident()
+	d.DL1, d.DL2 = dcache.L1().Resident(), dcache.L2().Resident()
+}
+
+// tlbDigest is the TLB half of Digest.
+func (e *Engine) tlbDigest() Digest {
+	var d Digest
 	if e.usesTLB {
 		d.ITLB, d.ITLBProt = e.itlb.Resident(), e.itlb.ResidentProtected()
 		d.DTLB, d.DTLBProt = e.dtlb.Resident(), e.dtlb.ResidentProtected()
@@ -487,6 +529,10 @@ func (e *Engine) ExecHandler(comp stats.Component, pc uint64, n int, fetchesCode
 	if !fetchesCode {
 		return
 	}
+	if e.rec != nil {
+		e.rec.fetch(pc, n)
+		return
+	}
 	for i := 0; i < n; i++ {
 		lvl := e.icache.Access(pc + uint64(i)*4)
 		if lvl != cache.L1Hit && e.live {
@@ -499,7 +545,13 @@ func (e *Engine) ExecHandler(comp stats.Component, pc uint64, n int, fetchesCode
 }
 
 // PTELoad runs a page-table-entry reference through the D-caches.
+// A grouped run's front end records the load and answers L1Hit: its
+// walker is cache-blind, so the answer changes nothing.
 func (e *Engine) PTELoad(a uint64, l2c, memc stats.Component) cache.Level {
+	if e.rec != nil {
+		e.rec.load(a, l2c, memc)
+		return cache.L1Hit
+	}
 	lvl := e.dcache.Access(a)
 	if lvl != cache.L1Hit && e.live {
 		e.c.Charge(l2c, stats.L1MissPenalty)
@@ -568,5 +620,7 @@ func SimulateContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	return e.RunContext(ctx, tr)
+	res, err := e.RunContext(ctx, tr)
+	e.releaseCaches()
+	return res, err
 }

@@ -26,7 +26,9 @@ import (
 // reference when invariant checking is on. runPhase folds its tallies
 // additively, so the cuts change no counter: a sampled, cancellable or
 // streamed run is bit-identical to a plain Run (TestRunMatchesStep,
-// TestMulticoreRunMatchesStep and TestStreamMatchesBatch pin this).
+// TestMulticoreRunMatchesStep and TestStreamMatchesBatch pin this). A
+// grouped run (group.go) hands replay its own front- and back-end phases
+// in place of runPhase and so shares the same cuts.
 //
 // Begin/Step/Finish is the readable reference loop the differential
 // oracle in internal/check drives.
@@ -185,7 +187,7 @@ func (d *driver) RunContext(ctx context.Context, tr *trace.Trace) (*Result, erro
 	if err := d.Begin(tr); err != nil {
 		return nil, err
 	}
-	if err := d.replay(ctx, tr.Refs); err != nil {
+	if err := d.replay(ctx, tr.Refs, d.runPhase); err != nil {
 		return nil, err
 	}
 	return d.Finish(tr.Name), nil
@@ -194,7 +196,10 @@ func (d *driver) RunContext(ctx context.Context, tr *trace.Trace) (*Result, erro
 // replay feeds refs through the machine in segments cut at the warmup
 // boundary, at SampleEvery boundaries and — when ctx is cancellable —
 // every cancelCheckRefs references, polling ctx before each segment.
-func (d *driver) replay(ctx context.Context, refs []trace.Ref) error {
+// Each segment goes to phase (runPhase, or a grouped run's pass), which
+// replays references d.pos onward within one warmup/live phase; replay
+// then advances d.pos past them.
+func (d *driver) replay(ctx context.Context, refs []trace.Ref, phase func([]trace.Ref)) error {
 	done := ctx.Done()
 	every := d.cfg.SampleEvery
 	for len(refs) > 0 {
@@ -222,7 +227,8 @@ func (d *driver) replay(ctx context.Context, refs []trace.Ref) error {
 				}
 			}
 		} else {
-			d.runPhase(refs[:n])
+			phase(refs[:n])
+			d.pos += n
 			if err := d.cores[0].kernErr; err != nil {
 				return err
 			}
@@ -330,7 +336,6 @@ func (d *driver) runPhase(refs []trace.Ref) {
 		e.foldBatch(uint64(ran))
 	}
 	d.next = c
-	d.pos += len(refs)
 }
 
 // foldBatch folds the tallies of a phase in which this core ran refs

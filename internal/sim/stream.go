@@ -84,7 +84,7 @@ func (d *driver) Feed(refs []trace.Ref) ([]TimelineSample, error) {
 		return nil, err
 	}
 	base := len(d.samples)
-	if err := d.replay(context.Background(), refs); err != nil {
+	if err := d.replay(context.Background(), refs, d.runPhase); err != nil {
 		return nil, err
 	}
 	return d.samples[base:len(d.samples):len(d.samples)], nil

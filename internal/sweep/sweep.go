@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -93,10 +94,17 @@ type Options struct {
 // workers (0 selects GOMAXPROCS). The returned slice is index-aligned
 // with cfgs. The trace is shared read-only across workers.
 //
+// Points whose configurations differ only in cache geometry (equal
+// sim.GroupKey) run together as one grouped run (sim.SimulateGroup),
+// which translates the trace once for all of them; every point's result
+// is the one a run of its own would give.
+//
 // Memory: a sweep holds one copy of the trace (shared by every worker)
-// plus one live engine per worker — cache and TLB arrays, typically a
-// few hundred KB per point — so peak memory is O(trace + workers), not
-// O(configurations). Results are two small structs per point.
+// plus, per worker, one live engine — cache and TLB arrays, typically a
+// few hundred KB per point — or one grouped run's translation log and
+// its chain of at most a line size's hierarchies, so peak memory is
+// O(trace + workers), not O(configurations). Results are two small
+// structs per point.
 func Run(tr *trace.Trace, cfgs []sim.Config, workers int) []Point {
 	return RunContext(context.Background(), tr, cfgs, workers)
 }
@@ -262,51 +270,95 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 		p.Duration = time.Since(start)
 		return p
 	}
-	record := func(i int, p Point) {
-		if jw == nil || p.Err != nil {
-			return
+	// finish journals a finished point, stores it and reports it.
+	finish := func(i int, p Point) {
+		if jw != nil && p.Err == nil {
+			payload, err := EncodePointPayload(p.Result)
+			if err != nil {
+				jerrOnce.Do(func() { jerr = err })
+			} else {
+				jch <- journal.Record{Key: PointKey(tr, cfgs[i]), Index: i, Payload: payload}
+			}
 		}
-		payload, err := EncodePointPayload(p.Result)
+		points[i] = p
+		if opts.PointDone != nil {
+			opts.PointDone(i, p)
+		}
+	}
+	// attemptGroup is attemptOnce for a group of points: one grouped run
+	// under a deadline of the members' deadlines summed, with every
+	// member's first-attempt hook run first.
+	attemptGroup := func(members []int) (res []*sim.Result, err error) {
+		gctx := ctx
+		cancel := func() {}
+		if opts.PointTimeout > 0 {
+			gctx, cancel = context.WithTimeout(ctx, time.Duration(len(members))*opts.PointTimeout)
+		}
+		defer cancel()
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("sweep: grouped run panicked: %v: %w", r, simerr.ErrInternalPanic)
+			}
+		}()
+		gcfgs := make([]sim.Config, len(members))
+		for k, i := range members {
+			if opts.PointHook != nil {
+				if err := opts.PointHook(gctx, i, 0); err != nil {
+					return nil, err
+				}
+			}
+			gcfgs[k] = cfgs[i]
+		}
+		return sim.SimulateGroup(gctx, gcfgs, tr)
+	}
+	// runGroup runs a group's points together. Should the grouped attempt
+	// fail in any way, each member runs through runPoint instead, so
+	// retries, deadlines and quarantine stay per point. A grouped run's
+	// wall clock is shared out evenly over its points' Durations.
+	runGroup := func(members []int) {
+		start := time.Now()
+		res, err := attemptGroup(members)
 		if err != nil {
-			jerrOnce.Do(func() { jerr = err })
+			for _, i := range members {
+				finish(i, runPoint(i))
+			}
 			return
 		}
-		jch <- journal.Record{Key: PointKey(tr, cfgs[i]), Index: i, Payload: payload}
+		d := time.Since(start) / time.Duration(len(members))
+		for k, i := range members {
+			finish(i, Point{Config: cfgs[i], Result: res[k], Attempts: 1, Duration: d})
+		}
 	}
 
 	var wg sync.WaitGroup
-	next := make(chan int)
+	next := make(chan []int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				p := runPoint(i)
-				record(i, p)
-				points[i] = p
-				if opts.PointDone != nil {
-					opts.PointDone(i, p)
+			for item := range next {
+				if len(item) > 1 {
+					runGroup(item)
+				} else {
+					finish(item[0], runPoint(item[0]))
 				}
 			}
 		}()
 	}
 	done := ctx.Done()
+	items := plan(cfgs, skip)
 dispatch:
-	for i := range cfgs {
-		if skip[i] {
-			continue
-		}
+	for n, item := range items {
 		select {
-		case next <- i:
+		case next <- item:
 		case <-done:
 			// Mark everything not yet handed to a worker; workers drain
-			// the point they already hold.
-			for j := i; j < len(cfgs); j++ {
-				if skip[j] {
-					continue
+			// the work they already hold.
+			for _, rest := range items[n:] {
+				for _, j := range rest {
+					points[j] = Point{Config: cfgs[j], Err: fmt.Errorf(
+						"sweep: point not dispatched: %w: %w", simerr.ErrCancelled, context.Cause(ctx))}
 				}
-				points[j] = Point{Config: cfgs[j], Err: fmt.Errorf(
-					"sweep: point not dispatched: %w: %w", simerr.ErrCancelled, context.Cause(ctx))}
 			}
 			break dispatch
 		}
@@ -318,6 +370,46 @@ dispatch:
 		jwg.Wait()
 	}
 	return points, jerr
+}
+
+// plan lists the points still to run as work items: first every group
+// of two or more points sharing a sim.GroupKey, in the order of their
+// first points, then every other point alone, in index order. Groups go
+// first because they are the longest items.
+func plan(cfgs []sim.Config, skip []bool) [][]int {
+	var groups [][]int
+	var singles []int
+	byKey := map[sim.Config]int{} // group key → its group in groups
+	for i, c := range cfgs {
+		if skip[i] {
+			continue
+		}
+		key, ok := sim.GroupKey(c)
+		if !ok {
+			singles = append(singles, i)
+			continue
+		}
+		g, seen := byKey[key]
+		if !seen {
+			g = len(groups)
+			byKey[key] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	var items [][]int
+	for _, g := range groups {
+		if len(g) > 1 {
+			items = append(items, g)
+		} else {
+			singles = append(singles, g[0])
+		}
+	}
+	slices.Sort(singles)
+	for _, i := range singles {
+		items = append(items, []int{i})
+	}
+	return items
 }
 
 // sleepBackoff waits base<<attempt (capped at maxBackoff), abandoning
