@@ -142,14 +142,44 @@ func TestVMSweepRemoteKilledAndRestartedIsByteIdentical(t *testing.T) {
 	}
 }
 
-func TestVMSweepRemoteRejectsJournalFlags(t *testing.T) {
-	_, errOut, code := run(t, "vmsweep",
-		"-remote", "http://127.0.0.1:1", "-journal", t.TempDir(), "-bench", "gcc", "-n", "1000")
-	if code == 0 {
-		t.Fatal("-remote with -journal did not fail")
+// TestVMSweepRemoteJournalKilledAndResumed kills a single-endpoint
+// -remote -journal campaign once its journal holds a committed point,
+// then re-runs it with -resume: the journal replays its points, the
+// coordinator leases out the rest, and the CSV is byte-identical to a
+// local run.
+func TestVMSweepRemoteJournalKilledAndResumed(t *testing.T) {
+	args := []string{"-bench", "gcc", "-n", "20000", "-vms", "ultrix,intel",
+		"-l1", "1024,2048,4096,8192", "-tlb", "16,32,64,128,256"}
+	local := serialGolden(t, args)
+	srv := startVMServed(t, "-cache-dir", t.TempDir())
+	jdir := t.TempDir()
+	remoteArgs := append([]string{"-remote", srv.base, "-journal", jdir}, args...)
+
+	victim := exec.Command(filepath.Join(binDir, "vmsweep"), remoteArgs...)
+	victim.Stdout, victim.Stderr = &bytes.Buffer{}, &bytes.Buffer{}
+	if err := victim.Start(); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(errOut, "incompatible") {
-		t.Fatalf("unexpected error text: %s", errOut)
+	deadline := time.Now().Add(60 * time.Second)
+	for journalRecords(jdir) == 0 {
+		if time.Now().After(deadline) {
+			victim.Process.Kill() //nolint:errcheck
+			t.Fatal("journal never gained a committed point")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	victim.Process.Kill() //nolint:errcheck
+	victim.Wait()         //nolint:errcheck
+
+	out, errOut, code := run(t, "vmsweep", append([]string{"-resume"}, remoteArgs...)...)
+	if code != 0 {
+		t.Fatalf("resumed remote sweep exit %d, stderr: %s", code, errOut)
+	}
+	if !strings.Contains(errOut, "replayed from journal") {
+		t.Fatalf("resumed run replayed nothing from the journal, stderr: %s", errOut)
+	}
+	if out != local {
+		t.Fatalf("resumed remote CSV differs from local:\n--- local ---\n%s--- resumed ---\n%s", local, out)
 	}
 }
 

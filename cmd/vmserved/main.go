@@ -12,7 +12,8 @@
 //	vmsweep -remote http://localhost:8080 -bench gcc -vms all -l1 paper > gcc.csv
 //
 // Protocol: POST /v1/traces (binary trace body), POST /v1/jobs
-// ({api_version, trace_sha256, configs[]}), GET /v1/jobs/{id}, GET
+// ({api_version, trace_sha256, configs[]}), GET /v1/jobs/{id}[?wait=D]
+// (D holds the answer until the job is done or D passes), GET
 // /v1/healthz. A full queue answers 429 with Retry-After; a draining
 // daemon answers 503. /debug/vars exposes queue depth, in-flight
 // points, and cache hit rates; /debug/pprof/ serves live profiles.
@@ -25,7 +26,8 @@
 // in-flight streams before exiting.
 //
 // Lifecycle: SIGINT/SIGTERM starts a graceful drain — the listener
-// stops accepting work, queued and in-flight points run to completion
+// stops accepting work, held ?wait= requests are answered at once,
+// queued and in-flight points run to completion
 // (bounded by -drain-timeout, then cancelled cooperatively), and the
 // daemon exits 0.
 //
@@ -102,12 +104,7 @@ func main() {
 		Backoff:      *backoff,
 	}
 	if *coordFleet != "" {
-		var endpoints []string
-		for _, f := range strings.Split(*coordFleet, ",") {
-			if f = strings.TrimSpace(f); f != "" {
-				endpoints = append(endpoints, f)
-			}
-		}
+		endpoints := strings.Fields(strings.ReplaceAll(*coordFleet, ",", " "))
 		if len(endpoints) == 0 {
 			fail(fmt.Errorf("-coord needs at least one worker endpoint"))
 		}
@@ -142,19 +139,19 @@ func main() {
 	<-ctx.Done()
 	fmt.Fprintf(os.Stderr, "vmserved: draining (up to %s)\n", *drain)
 
-	// Stop accepting connections first, then drain the simulation queue.
-	// The HTTP shutdown shares the drain budget: a live /v1/stream is an
-	// in-flight request, and hs.Shutdown waits for it — cutting this off
-	// at a short fixed timeout would sever streams mid-upload instead of
-	// finalizing them.
-	hctx, hcancel := context.WithTimeout(context.Background(), *drain)
-	if err := hs.Shutdown(hctx); err != nil {
-		hs.Close() //nolint:errcheck
-	}
-	hcancel()
+	// The server's drain and the HTTP shutdown share one budget and run
+	// together: the drain answers every held ?wait= request at once, so
+	// hs.Shutdown waits only for real work. A live /v1/stream is such
+	// work, and both wait for it: a short fixed timeout would sever
+	// streams mid-upload instead of finalizing them.
 	dctx, dcancel := context.WithTimeout(context.Background(), *drain)
 	defer dcancel()
-	if err := srv.Shutdown(dctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Shutdown(dctx) }()
+	if err := hs.Shutdown(dctx); err != nil {
+		hs.Close() //nolint:errcheck
+	}
+	if err := <-drained; err != nil {
 		fmt.Fprintln(os.Stderr, "vmserved: drain deadline hit; in-flight points cancelled")
 		os.Exit(1)
 	}

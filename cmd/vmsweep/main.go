@@ -40,25 +40,21 @@
 // -debug-addr serves net/http/pprof and expvar (including the live
 // vmsweep.progress snapshot) over HTTP.
 //
-// Serving: -remote ADDR runs the identical campaign on a vmserved
-// instance instead of simulating locally — the trace is uploaded once
-// (content-addressed), every point the server has seen before replays
-// from its result cache, and the CSV on stdout is byte-identical to a
-// local run. A killed -remote campaign simply re-runs: finished points
-// are cache hits. Single-endpoint -remote is incompatible with
-// -journal/-resume (the server's cache is the checkpoint);
-// -timeout/-retries/-backoff are applied by the server's own
-// configuration, not these flags.
-//
-// Distributed sweeps: -remote with a comma-separated endpoint list
-// engages the fault-tolerant coordinator (internal/coord) — points are
-// leased to workers along a consistent-hash ring, a worker that dies,
-// hangs, or partitions mid-campaign loses its lease and the points are
-// re-dispatched, and idle workers steal from stragglers. -journal and
-// -resume ARE supported here (the journal is the coordinator's durable
-// checkpoint: kill vmsweep mid-campaign and re-run with -resume), and
-// -lease-timeout tunes the no-progress deadline. The CSV is still
-// byte-identical to a serial local run:
+// Serving: -remote runs the identical campaign on one or more vmserved
+// instances instead of simulating locally, always through the
+// fault-tolerant coordinator (internal/coord). The trace is uploaded
+// once per worker (content-addressed), points are leased to workers
+// along a consistent-hash ring, every point a worker has seen before
+// replays from its result cache, and the CSV on stdout is byte-identical
+// to a serial local run. A worker that dies, hangs, or partitions
+// mid-campaign loses its lease and the points are re-dispatched once it
+// or another worker answers; idle workers steal from stragglers;
+// -lease-timeout tunes the no-progress deadline. -journal and -resume
+// work as they do locally (the journal is the coordinator's durable
+// checkpoint: kill vmsweep mid-campaign and re-run with -resume), and a
+// killed campaign re-run without them still replays finished points
+// from the workers' caches. -timeout/-retries/-backoff are applied by
+// each server's own configuration, not these flags:
 //
 //	vmsweep -remote http://w1:8080,http://w2:8080,http://w3:8080 \
 //	        -bench gcc -vms all -l1 paper -journal gcc.journal > gcc.csv
@@ -79,9 +75,7 @@ import (
 	"time"
 
 	mmusim "repro"
-	"repro/internal/api"
 	"repro/internal/atomicio"
-	"repro/internal/client"
 	"repro/internal/coord"
 	"repro/internal/obs"
 	"repro/internal/version"
@@ -139,83 +133,6 @@ type campaignManifest struct {
 	ExitStatus int            `json:"exit_status"`
 }
 
-// runRemote executes the campaign on a vmserved instance instead of
-// simulating locally: the trace is made resident (uploaded only when
-// the server does not already hold its digest), the whole
-// configuration list is submitted as one job, and polling drives the
-// same progress tracker a local sweep feeds. The returned points are
-// rebuilt losslessly from the wire results, so the CSV emitted
-// downstream is byte-identical to a local run's.
-func runRemote(ctx context.Context, addr string, tr *mmusim.Trace, cfgs []mmusim.Config, prog *obs.Progress) ([]mmusim.SweepPoint, error) {
-	c := client.New(addr)
-	sha, err := c.EnsureTrace(ctx, tr)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := c.Submit(ctx, sha, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "vmsweep: job %s (%d points) on %s (engine %s)\n",
-		sr.JobID, sr.Points, addr, sr.Engine)
-	seen := 0
-	st, err := c.Wait(ctx, sr.JobID, 200*time.Millisecond, func(st api.JobStatus) {
-		for ; seen < st.Done; seen++ {
-			prog.Done(1, false, false)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	points := make([]mmusim.SweepPoint, len(cfgs))
-	cached := 0
-	for i, r := range st.Results {
-		points[i] = client.ToSweepPoint(cfgs[i], r)
-		if r.Cached {
-			cached++
-		}
-	}
-	if cached > 0 {
-		fmt.Fprintf(os.Stderr, "vmsweep: %d of %d points replayed from vmserved cache\n", cached, len(cfgs))
-	}
-	return points, nil
-}
-
-// runCoord executes the campaign across a fleet of vmserved workers via
-// the fault-tolerant coordinator: leases, consistent-hash routing with
-// failover, work stealing, and — unlike single-endpoint -remote — a
-// durable local journal, so a killed coordinator resumes instead of
-// restarting.
-func runCoord(ctx context.Context, endpoints []string, tr *mmusim.Trace, cfgs []mmusim.Config,
-	prog *obs.Progress, jdir string, resume bool, leaseTimeout time.Duration, seed uint64) ([]mmusim.SweepPoint, error) {
-	fmt.Fprintf(os.Stderr, "vmsweep: coordinating %d points across %d workers\n", len(cfgs), len(endpoints))
-	return coord.Run(ctx, tr, cfgs, coord.Options{
-		Endpoints:    endpoints,
-		LeaseTimeout: leaseTimeout,
-		JournalDir:   jdir,
-		Resume:       resume,
-		Seed:         seed,
-		PointDone: func(_ int, p mmusim.SweepPoint) {
-			prog.Done(p.Attempts, p.Resumed,
-				p.Err != nil && mmusim.ErrorCategory(p.Err) != "cancelled")
-		},
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "vmsweep: "+format+"\n", args...)
-		},
-	})
-}
-
-// splitEndpoints parses -remote's comma-separated endpoint list.
-func splitEndpoints(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 func main() {
 	start := time.Now()
 	var (
@@ -249,8 +166,8 @@ func main() {
 		progress  = flag.Bool("progress", false, "report live completion/rate/ETA on stderr")
 		manifest  = flag.String("manifest", "", "write an end-of-run campaign manifest (JSON) to this file")
 		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
-		remote    = flag.String("remote", "", "run the campaign on vmserved instance(s) instead of simulating locally; a comma-separated list engages the fault-tolerant coordinator")
-		leaseTO   = flag.Duration("lease-timeout", coord.DefaultLeaseTimeout, "multi-endpoint -remote: no-progress deadline before a worker's lease is reclaimed")
+		remote    = flag.String("remote", "", "run the campaign through the fault-tolerant coordinator on these comma-separated vmserved endpoints instead of simulating locally")
+		leaseTO   = flag.Duration("lease-timeout", coord.DefaultLeaseTimeout, "with -remote: no-progress deadline before a worker's lease is reclaimed")
 		showVer   = flag.Bool("version", false, "print the engine version and exit")
 	)
 	flag.Parse()
@@ -408,15 +325,7 @@ func main() {
 	if *resumeFl && *jdir == "" {
 		fail(fmt.Errorf("-resume requires -journal"))
 	}
-	remotes := splitEndpoints(*remote)
-	if len(remotes) == 1 && (*jdir != "" || *resumeFl) {
-		// Single-endpoint remote campaigns are checkpointed by the
-		// server's result cache (kill vmsweep and re-run: finished points
-		// replay from the cache); the local journal has no role. The
-		// multi-endpoint coordinator journals locally — there the flags
-		// are supported.
-		fail(fmt.Errorf("-remote is incompatible with -journal/-resume"))
-	}
+	remotes := strings.Fields(strings.ReplaceAll(*remote, ",", " "))
 
 	// The progress tracker runs unconditionally (its per-point cost is
 	// a few atomic adds); -progress decides whether it is printed, and
@@ -446,12 +355,23 @@ func main() {
 
 	exitCode := 0
 	var points []mmusim.SweepPoint
-	switch {
-	case len(remotes) > 1:
-		points, err = runCoord(ctx, remotes, tr, cfgs, prog, *jdir, *resumeFl, *leaseTO, *seed)
-	case len(remotes) == 1:
-		points, err = runRemote(ctx, remotes[0], tr, cfgs, prog)
-	default:
+	pointDone := func(_ int, p mmusim.SweepPoint) {
+		prog.Done(p.Attempts, p.Resumed, p.Err != nil && mmusim.ErrorCategory(p.Err) != "cancelled")
+	}
+	if len(remotes) > 0 {
+		fmt.Fprintf(os.Stderr, "vmsweep: coordinating %d points across %d worker(s)\n", len(cfgs), len(remotes))
+		points, err = coord.Run(ctx, tr, cfgs, coord.Options{
+			Endpoints:    remotes,
+			LeaseTimeout: *leaseTO,
+			JournalDir:   *jdir,
+			Resume:       *resumeFl,
+			Seed:         *seed,
+			PointDone:    pointDone,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "vmsweep: "+format+"\n", args...)
+			},
+		})
+	} else {
 		points, err = mmusim.SweepWithOptions(ctx, tr, cfgs, mmusim.SweepOptions{
 			Workers:      *workers,
 			JournalDir:   *jdir,
@@ -459,10 +379,7 @@ func main() {
 			PointTimeout: *timeout,
 			Retries:      *retries,
 			Backoff:      *backoff,
-			PointDone: func(i int, p mmusim.SweepPoint) {
-				prog.Done(p.Attempts, p.Resumed,
-					p.Err != nil && mmusim.ErrorCategory(p.Err) != "cancelled")
-			},
+			PointDone:    pointDone,
 		})
 	}
 	if *progress {
@@ -485,7 +402,9 @@ func main() {
 		fail(err)
 	}
 	byCategory := map[string]int{}
-	resumed, failed := 0, 0
+	// A resumed point came from the journal (no attempt ran in this
+	// process) or, on -remote, from a worker's result cache.
+	resumed, journaled, failed := 0, 0, 0
 	for _, p := range points {
 		if p.Err != nil {
 			cat := mmusim.ErrorCategory(p.Err)
@@ -498,10 +417,16 @@ func main() {
 		}
 		if p.Resumed {
 			resumed++
+			if p.Attempts == 0 {
+				journaled++
+			}
 		}
 	}
-	if resumed > 0 && *jdir != "" {
-		fmt.Fprintf(os.Stderr, "vmsweep: %d of %d points replayed from journal %s\n", resumed, len(cfgs), *jdir)
+	if journaled > 0 {
+		fmt.Fprintf(os.Stderr, "vmsweep: %d of %d points replayed from journal %s\n", journaled, len(cfgs), *jdir)
+	}
+	if cached := resumed - journaled; cached > 0 {
+		fmt.Fprintf(os.Stderr, "vmsweep: %d of %d points replayed from vmserved cache\n", cached, len(cfgs))
 	}
 	if cancelled := byCategory["cancelled"]; cancelled > 0 {
 		fmt.Fprintf(os.Stderr, "vmsweep: interrupted — %d of %d points not run\n", cancelled, len(cfgs))

@@ -1,9 +1,10 @@
 // Package client is the Go client for the vmserved simulation service:
-// trace upload with digest negotiation, job submission, and status
-// polling, with retry/backoff built on the internal/simerr taxonomy so
-// a transiently overloaded server (429 + Retry-After, 503 while
-// draining, a dropped connection) is retried and a real error (bad
-// config, unknown trace, protocol mismatch) is surfaced immediately.
+// trace upload with digest negotiation, job submission, and waiting on
+// a job's long poll, with retry/backoff built on the internal/simerr
+// taxonomy so a transiently overloaded server (429 + Retry-After, 503
+// while draining, a dropped connection) is retried and a real error
+// (bad config, unknown trace, protocol mismatch) is surfaced
+// immediately.
 package client
 
 import (
@@ -150,22 +151,30 @@ func (c *Client) Submit(ctx context.Context, traceSHA string, cfgs []sim.Config)
 
 // Job fetches the current status of one job.
 func (c *Client) Job(ctx context.Context, id string) (api.JobStatus, error) {
+	return c.JobWait(ctx, id, 0)
+}
+
+// JobWait fetches one job's status, letting the server hold the request
+// until the job is done or wait elapses (0 answers at once).
+func (c *Client) JobWait(ctx context.Context, id string, wait time.Duration) (api.JobStatus, error) {
+	path := "/v1/jobs/" + id
+	if wait > 0 {
+		path += "?wait=" + wait.String()
+	}
 	var st api.JobStatus
-	err := c.call(ctx, http.MethodGet, "/v1/jobs/"+id, nil, "", &st)
+	err := c.call(ctx, http.MethodGet, path, nil, "", &st)
 	return st, err
 }
 
-// Wait polls the job until it is done (or ctx is cancelled), invoking
-// onStatus — when non-nil — after every poll so callers can surface
-// progress.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, onStatus func(api.JobStatus)) (api.JobStatus, error) {
-	if poll <= 0 {
-		poll = 200 * time.Millisecond
+// Wait returns once the job is done (or ctx is cancelled). Each request
+// is held by the server up to wait (<= 0 selects 200ms); onStatus, when
+// non-nil, runs after every answer so callers can surface progress.
+func (c *Client) Wait(ctx context.Context, id string, wait time.Duration, onStatus func(api.JobStatus)) (api.JobStatus, error) {
+	if wait <= 0 {
+		wait = 200 * time.Millisecond
 	}
-	tick := time.NewTicker(poll)
-	defer tick.Stop()
 	for {
-		st, err := c.Job(ctx, id)
+		st, err := c.JobWait(ctx, id, wait)
 		if err != nil {
 			return api.JobStatus{}, err
 		}
@@ -175,10 +184,8 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, onStat
 		if st.State == api.JobDone {
 			return st, nil
 		}
-		select {
-		case <-ctx.Done():
+		if ctx.Err() != nil {
 			return api.JobStatus{}, fmt.Errorf("client: waiting for job %s: %w: %w", id, simerr.ErrCancelled, context.Cause(ctx))
-		case <-tick.C:
 		}
 	}
 }

@@ -4,7 +4,7 @@
 // journal. Workers register at admission (engine identities must agree,
 // or re-dispatch would forfeit byte-identity) and are heartbeated with
 // readiness probes; points are handed out as leases — batches submitted
-// as one job per worker and polled — and a lease whose worker dies,
+// as one job per worker and waited on — and a lease whose worker dies,
 // partitions, or stops making progress past its deadline is reclaimed
 // and its incomplete points re-dispatched to the next worker on a
 // consistent-hash ring keyed by the points' content addresses (so a
@@ -46,13 +46,15 @@ import (
 const (
 	// DefaultLeasePoints is the points-per-lease batch size: small
 	// enough that a reclaimed lease re-dispatches little work, large
-	// enough to amortize the submit/poll round-trips.
-	DefaultLeasePoints = 8
+	// enough that a worker's pool is not left idle at every lease's
+	// tail while the next lease is submitted.
+	DefaultLeasePoints = 32
 	// DefaultLeaseTimeout is the no-progress deadline after which a
 	// lease is reclaimed, and the per-RPC bound that turns a hung
 	// worker's silence into a typed failure.
 	DefaultLeaseTimeout = 30 * time.Second
-	// DefaultPoll is the job-poll and heartbeat interval.
+	// DefaultPoll is the interval between readiness probes of a down
+	// worker.
 	DefaultPoll = 100 * time.Millisecond
 	// DefaultMaxPointFailures is how many distinct lease failures a
 	// point survives before being quarantined as poison.
@@ -74,8 +76,8 @@ type Options struct {
 	// this long loses the lease; an RPC that hangs this long marks the
 	// worker down.
 	LeaseTimeout time.Duration
-	// Poll is the job-poll / heartbeat interval (<= 0 selects
-	// DefaultPoll).
+	// Poll is the interval between readiness probes of a down worker
+	// (<= 0 selects DefaultPoll).
 	Poll time.Duration
 	// MaxPointFailures is how many failed leases a point may be part of
 	// before quarantine (<= 0 selects DefaultMaxPointFailures).
@@ -578,8 +580,10 @@ func (c *campaign) probeUntilReady(w *worker) bool {
 }
 
 // runLease executes one lease end to end: ensure the trace is resident,
-// submit the batch as one job, poll it to completion under the
-// no-progress deadline, and deliver (or reclaim) the points.
+// submit the batch as one job, wait on it under the no-progress
+// deadline, and deliver (or reclaim) the points. The worker holds each
+// status request until the job is done or half the per-RPC timeout
+// passes, so no sleep sits between requests.
 func (c *campaign) runLease(w *worker, idxs []int) {
 	c.mu.Lock()
 	c.leaseSeq++
@@ -621,13 +625,10 @@ func (c *campaign) runLease(w *worker, idxs []int) {
 	lastProgress := time.Now()
 	seen := -1
 	for {
-		if !sleepCtx(c.ctx, c.opts.Poll) {
-			return // campaign over; incomplete points handled by Run
-		}
 		var st api.JobStatus
 		err := c.rpc(func(ctx context.Context) error {
 			var e error
-			st, e = w.tk.C.Job(ctx, lease.JobID)
+			st, e = w.tk.C.JobWait(ctx, lease.JobID, c.rpcTimeout()/2)
 			return e
 		})
 		if err != nil {

@@ -3,14 +3,19 @@
 // funnels every point through the content-addressed result cache and
 // the fault-tolerant sweep driver (so per-point deadlines, bounded
 // retry, and panic quarantine carry over unchanged), per-job progress
-// bookkeeping for polling clients, and graceful drain.
+// bookkeeping that answers a waiting client when its job is done, and
+// graceful drain.
 //
 // Protocol (JSON over HTTP, api.Version):
 //
 //	POST /v1/traces        upload a binary trace; responds {sha256, refs}
 //	GET  /v1/traces/{sha}  existence check (404 = upload first)
 //	POST /v1/jobs          submit {api_version, trace_sha256, configs[]}
-//	GET  /v1/jobs/{id}     poll status; results present once state=done
+//	GET  /v1/jobs/{id}     job status; results present once state=done
+//	GET  /v1/jobs/{id}?wait=D
+//	                       the same, held until the job is done, D (a Go
+//	                       duration such as 15s) elapses, the client goes
+//	                       away, or the server starts draining
 //	GET  /v1/healthz       liveness + engine identity (alias /healthz)
 //	GET  /v1/readyz        readiness: 200 when accepting work, 503 when
 //	                       draining or the queue is saturated (alias /readyz)
@@ -111,8 +116,9 @@ type Server struct {
 	tasks  chan task
 	traces *traceStore
 
-	baseCtx context.Context
-	cancel  context.CancelFunc
+	baseCtx  context.Context
+	cancel   context.CancelFunc
+	draining chan struct{} // closed by Shutdown: answers held ?wait= requests
 
 	mu      sync.Mutex
 	closed  bool
@@ -150,11 +156,12 @@ func New(cfg Config) *Server {
 		cfg.MaxStreams = cfg.Workers
 	}
 	s := &Server{
-		cfg:    cfg,
-		mux:    http.NewServeMux(),
-		tasks:  make(chan task, cfg.QueueBound),
-		traces: newTraceStore(cfg.MaxTraces),
-		jobs:   map[string]*job{},
+		cfg:      cfg,
+		mux:      http.NewServeMux(),
+		tasks:    make(chan task, cfg.QueueBound),
+		traces:   newTraceStore(cfg.MaxTraces),
+		jobs:     map[string]*job{},
+		draining: make(chan struct{}),
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.mux.HandleFunc("POST /v1/traces", s.handleTraceUpload)
@@ -182,17 +189,18 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Shutdown drains the server: new submissions are refused with 503,
-// queued and in-flight points run to completion, and Shutdown returns
-// once the workers are idle. If ctx expires first, in-flight
-// simulations are cancelled cooperatively (their points finish with
-// cancellation errors) and Shutdown returns ctx's error after the pool
-// exits.
+// held ?wait= requests are answered at once, queued and in-flight
+// points run to completion, and Shutdown returns once the workers are
+// idle. If ctx expires first, in-flight simulations are cancelled
+// cooperatively (their points finish with cancellation errors) and
+// Shutdown returns ctx's error after the pool exits.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.closed
 	if !already {
 		s.closed = true
 		close(s.tasks)
+		close(s.draining)
 	}
 	s.mu.Unlock()
 	done := make(chan struct{})
@@ -346,6 +354,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tr:       tr,
 		cfgs:     req.Configs,
 		results:  make([]api.PointResult, n),
+		changed:  make(chan struct{}),
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -404,8 +413,19 @@ func (s *Server) retryAfterSeconds(queued int64) int {
 	return est
 }
 
+// handleJobStatus answers a job's status. ?wait=D makes it a bounded
+// long poll; the caller picks D from its own request timeout, so the
+// server has no setting for it.
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	var wait time.Duration
+	if q := r.URL.Query(); q.Has("wait") {
+		var err error
+		if wait, err = time.ParseDuration(q.Get("wait")); err != nil || wait < 0 {
+			writeError(w, http.StatusBadRequest, "wait=%q: want a non-negative duration such as 15s", q.Get("wait"))
+			return
+		}
+	}
 	s.mu.Lock()
 	j := s.jobs[id]
 	s.mu.Unlock()
@@ -413,6 +433,9 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %s", id)
 		return
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	defer cancel()
+	j.await(ctx, s.draining)
 	writeJSON(w, http.StatusOK, j.status())
 }
 
@@ -476,13 +499,7 @@ func (s *Server) runPoint(j *job, idx int) {
 			return nil, pt.Err
 		}
 		s.simulated.Inc()
-		return api.EncodePointResult(api.PointResult{
-			Workload:       pt.Result.Workload,
-			Counters:       &pt.Result.Counters,
-			AvgChainLength: pt.Result.AvgChainLength,
-			PerCore:        pt.Result.PerCore,
-			Attempts:       pt.Attempts,
-		})
+		return api.EncodePointResult(pointResult(pt))
 	}
 
 	var payload []byte
@@ -577,6 +594,7 @@ type job struct {
 	done    int
 	failed  int
 	cached  int
+	changed chan struct{} // closed and replaced by every finish: wakes await
 }
 
 func (j *job) finish(idx int, r api.PointResult) {
@@ -589,6 +607,27 @@ func (j *job) finish(idx int, r api.PointResult) {
 	}
 	if r.Cached {
 		j.cached++
+	}
+	close(j.changed)
+	j.changed = make(chan struct{})
+}
+
+// await blocks until the job is done, ctx ends, or drain is closed.
+func (j *job) await(ctx context.Context, drain <-chan struct{}) {
+	for {
+		j.mu.Lock()
+		done, changed := j.done == len(j.cfgs), j.changed
+		j.mu.Unlock()
+		if done {
+			return
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return
+		case <-drain:
+			return
+		}
 	}
 }
 

@@ -37,3 +37,27 @@ func TestSHA256DistinguishesTraces(t *testing.T) {
 		t.Error("identical traces hash differently")
 	}
 }
+
+func TestSHA256IsMemoized(t *testing.T) {
+	mk := func() *Trace {
+		return &Trace{Name: "memo", Refs: []Ref{
+			{PC: 0x1000, Kind: None},
+			{PC: 0x1004, Data: 0x8000, Kind: Load},
+		}}
+	}
+	tr := mk()
+	first := SHA256(tr)
+	if fresh := SHA256(mk()); first != fresh {
+		t.Fatalf("memoized digest %s, fresh trace's %s", first, fresh)
+	}
+	// A second call must not serialize the trace again: refs changed
+	// behind the memo's back (which the sharing contract forbids) leave
+	// the answer unchanged, and the call allocates nothing.
+	tr.Refs[0].PC = 0x2000
+	if again := SHA256(tr); again != first {
+		t.Fatalf("second SHA256 re-hashed the trace: %s, first %s", again, first)
+	}
+	if n := testing.AllocsPerRun(10, func() { SHA256(tr) }); n != 0 {
+		t.Fatalf("memoized SHA256 allocates %v times per call", n)
+	}
+}

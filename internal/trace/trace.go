@@ -109,7 +109,8 @@ type Ref struct {
 //
 // A Trace is logically immutable once built: the simulator, the sweep
 // worker pool, and the differential oracle all share one Trace read-only.
-// Mutating Refs after the first Validate call is not supported.
+// Mutating Name or Refs after the first Validate or SHA256 call is not
+// supported.
 type Trace struct {
 	Name string
 	Refs []Ref
@@ -119,6 +120,8 @@ type Trace struct {
 	// the O(n) validation scan once instead of once per run. Maintained
 	// with atomics because sweep workers share the Trace.
 	validated uint32
+	// digest memoizes SHA256 under the same contract.
+	digest atomic.Pointer[string]
 }
 
 // Len returns the number of instructions.
